@@ -54,6 +54,9 @@ class QuadratureConfig:
             raise ValueError("need at least 8 quadrature nodes")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
+        if self.max_doublings < 1:
+            # _integrate_unit judges convergence by comparing two passes
+            raise ValueError("max_doublings must be >= 1")
 
 
 DEFAULT_QUAD = QuadratureConfig()

@@ -1,7 +1,8 @@
 """Command-line front end: batch computations and CSV/JSON emission.
 
-Exit codes: 0 success, 2 usage or parse failure, 3 resource cap exceeded,
-4 domain or range violation.
+Exit codes: 0 success, 2 usage or parse failure (including a bad
+MAJMETER_CONFIG file), 3 resource cap exceeded, 4 domain or range violation
+or a quadrature that did not converge.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     InvalidRow,
     InvalidSimplexPoint,
     OutOfRange,
+    QuadratureError,
     ZeroAtomUnsupported,
 )
 from .partitions import (
@@ -45,7 +47,16 @@ EXIT_DOMAIN = 4
 
 _USAGE_ERRORS = (EmptyPartition, InvalidRow, InvalidSimplexPoint, ValueError,
                  json.JSONDecodeError)
-_DOMAIN_ERRORS = (OutOfRange, DomainError, DegenerateParameter, ZeroAtomUnsupported)
+_DOMAIN_ERRORS = (OutOfRange, DomainError, DegenerateParameter, ZeroAtomUnsupported,
+                  QuadratureError)
+
+_CONFIG_KEYS = {
+    "quad.nodes": "quad_nodes",
+    "quad.rel_tol": "quad_tol",
+    "quad.max_doublings": "quad_max_doublings",
+    "exact_cap": "exact_cap",
+    "seed": "seed",
+}
 
 
 def _fmt(x) -> str:
@@ -74,27 +85,36 @@ def _write(args, text: str):
 
 
 def _quad_from(args) -> QuadratureConfig:
-    return QuadratureConfig(
-        nodes=args.quad_nodes,
-        max_doublings=args.quad_max_doublings,
-        rel_tol=args.quad_tol,
-    )
+    try:
+        return QuadratureConfig(
+            nodes=args.quad_nodes,
+            max_doublings=args.quad_max_doublings,
+            rel_tol=args.quad_tol,
+        )
+    except ValueError as exc:
+        raise ValueError(
+            f"bad --quad-nodes/--quad-tol/--quad-max-doublings setting: {exc}"
+        ) from None
 
 
 def _load_config_defaults() -> dict:
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
-    with open(path) as fh:
-        raw = json.load(fh)
-    mapping = {
-        "quad.nodes": "quad_nodes",
-        "quad.rel_tol": "quad_tol",
-        "quad.max_doublings": "quad_max_doublings",
-        "exact_cap": "exact_cap",
-        "seed": "seed",
-    }
-    return {mapping[k]: v for k, v in raw.items() if k in mapping}
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{CONFIG_ENV}={path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{CONFIG_ENV}={path}: expected a JSON object")
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(
+            f"{CONFIG_ENV}={path}: unknown key(s) {', '.join(unknown)}; "
+            f"known keys are {', '.join(_CONFIG_KEYS)}"
+        )
+    return {_CONFIG_KEYS[k]: v for k, v in raw.items()}
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -371,9 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

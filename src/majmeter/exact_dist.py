@@ -223,41 +223,20 @@ def exact_cumulant(lam: Partition, r: int) -> Fraction:
     return bernoulli(r) / r * power_gap
 
 
-def _rgs_block_sizes(r: int):
-    """Block-size lists of every set partition of {1..r}, enumerated through
-    restricted growth strings."""
-    a = [0] * r
-    m = [0] * r
-    while True:
-        sizes = Counter(a[:r])
-        yield list(sizes.values())
-        i = r - 1
-        while i > 0 and a[i] == m[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        m[i] = max(m[i - 1], a[i])
-        for j in range(i + 1, r):
-            a[j] = 0
-            m[j] = m[i]
-
-
 def cumulant_from_polynomial(poly: QPolynomial, r: int) -> Fraction:
-    """Moment-route cumulant: Moebius inversion over set partitions of {1..r}."""
+    """Moment-route cumulant through the recursion
+    kappa_s = m_s - sum_{j<s} C(s-1, j-1) kappa_j m_{s-j} on the raw moments."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if poly.at_one() <= 0:
         raise ValueError("polynomial must have positive mass")
     moments = [Fraction(1)] + [poly.moment(k) for k in range(1, r + 1)]
-    total = Fraction(0)
-    for sizes in _rgs_block_sizes(r):
-        blocks = len(sizes)
-        term = Fraction((-1) ** (blocks - 1) * math.factorial(blocks - 1))
-        for s in sizes:
-            term *= moments[s]
-        total += term
-    return total
+    kappa = [Fraction(0)] * (r + 1)
+    for s in range(1, r + 1):
+        kappa[s] = moments[s] - sum(
+            math.comb(s - 1, j - 1) * kappa[j] * moments[s - j] for j in range(1, s)
+        )
+    return kappa[r]
 
 
 def mean_maj(lam: Partition) -> Fraction:

@@ -18,7 +18,6 @@ from .errors import EmptyPartition, InvalidRow, InvalidSimplexPoint, TooShort
 Scalar = Union[int, float, Fraction]
 
 SIMPLEX_TOL = 1e-12
-WEIGHT_SUM_TOL = 1e-14
 
 
 class Partition:
@@ -270,7 +269,7 @@ class DiscreteMeasure:
             merged[x] = merged.get(x, 0) + w
         merged.setdefault(0, 0)
         total = sum(merged.values())
-        if abs(total - 1) > WEIGHT_SUM_TOL:
+        if abs(total - 1) > SIMPLEX_TOL:
             raise InvalidSimplexPoint(f"atom weights sum to {total}, expected 1")
         # drop zero-weight atoms except the distinguished one at 0
         self.atoms = tuple(

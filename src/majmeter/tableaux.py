@@ -13,10 +13,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded
-from .partitions import Partition
+from .partitions import Partition, conjugate
 
 RNG_NAME = "PCG64"
 DEFAULT_ENUM_CAP = 14
+_BLOCK_CELLS = 1 << 19  # values placed per lockstep block of hook walks
 
 
 class StandardTableau:
@@ -167,81 +168,64 @@ def rsk(images: Sequence[int]) -> tuple[StandardTableau, StandardTableau]:
     return StandardTableau(p_rows), StandardTableau(q_rows)
 
 
-class _UniformStream:
-    """Buffered 63-bit integer stream drawn from PCG64.
+def _hook_walk_block(lam: Partition, trials: int, gen: np.random.Generator) -> np.ndarray:
+    """`trials` independent uniform samples drawn in lockstep; returns an array
+    of shape (trials, n) whose column v - 1 holds the 0-based row of value v.
 
-    `below(k)` returns value % k; the modulo bias is below k / 2**63 and is
-    negligible against any statistical tolerance used here.
+    Values n, n-1, ... are placed by starting each trial at a uniform
+    remaining cell and jumping to a uniform cell of its hook until every
+    trial sits at a corner (Greene-Nijenhuis-Wilf).  Row lengths and column
+    heights are kept per trial, so arm and leg are single gathers.
     """
-
-    __slots__ = ("_gen", "_buf", "_pos", "_size")
-
-    def __init__(self, seed: int, size: int = 1 << 16):
-        self._gen = np.random.Generator(np.random.PCG64(seed))
-        self._size = size
-        self._buf = ()
-        self._pos = 0
-
-    def below(self, k: int) -> int:
-        if self._pos >= len(self._buf):
-            self._buf = self._gen.integers(0, 1 << 63, size=self._size).tolist()
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v % k
-
-
-def _hook_walk_rows(rows: Sequence[int], stream: _UniformStream) -> list[int]:
-    """One uniform sample; returns the 0-based row of each value 1..n.
-
-    Values n, n-1, ... are placed by starting at a uniform remaining cell and
-    walking to a uniform cell of its hook until a corner is reached.
-    """
-    rem = list(rows)
-    total = sum(rem)
-    out = [0] * (total + 1)
-    nrows = len(rem)
-    for m in range(total, 0, -1):
-        t = stream.below(total)
-        i = 0
-        while t >= rem[i]:
-            t -= rem[i]
-            i += 1
-        j = t
+    n = lam.n
+    every = np.arange(trials)
+    row_len = np.tile(np.asarray(lam.rows, dtype=np.int64), (trials, 1))
+    col_len = np.tile(np.asarray(conjugate(lam).rows, dtype=np.int64), (trials, 1))
+    out = np.empty((trials, n), dtype=np.min_scalar_type(len(lam.rows)))
+    for m in range(n, 0, -1):
+        t = gen.integers(0, m, size=trials)
+        ends = np.cumsum(row_len, axis=1)
+        i = (ends <= t[:, None]).sum(axis=1)
+        j = t - ends[every, i] + row_len[every, i]
+        live = every
         while True:
-            arm = rem[i] - 1 - j
-            leg = 0
-            k = i + 1
-            while k < nrows and rem[k] > j:
-                leg += 1
-                k += 1
-            if arm == 0 and leg == 0:
+            li, lj = i[live], j[live]
+            arm = row_len[live, li] - 1 - lj
+            leg = col_len[live, lj] - 1 - li
+            moving = arm + leg > 0
+            live, arm, leg = live[moving], arm[moving], leg[moving]
+            if not live.size:
                 break
-            t = stream.below(arm + leg)
-            if t < arm:
-                j += 1 + t
-            else:
-                i += 1 + (t - arm)
-        out[m] = i
-        rem[i] -= 1
-        total -= 1
+            step = gen.integers(0, arm + leg)
+            right = step < arm
+            j[live] += np.where(right, step + 1, 0)
+            i[live] += np.where(right, 0, step - arm + 1)
+        out[:, m - 1] = i
+        row_len[every, i] -= 1
+        col_len[every, j] -= 1
     return out
 
 
-def _entries_from_rows(shape_rows: Sequence[int], row_of: Sequence[int]):
-    grid: list[list[int]] = [[] for _ in shape_rows]
-    for v in range(1, len(row_of)):
-        grid[row_of[v]].append(v)
-    return grid
+def _row_blocks(lam: Partition, trials: int, seed: int) -> Iterator[np.ndarray]:
+    """All `trials` samples as consecutive lockstep blocks from one PCG64
+    stream; a block holds at most _BLOCK_CELLS values, which bounds memory."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    gen = np.random.Generator(np.random.PCG64(seed))
+    size = max(1, _BLOCK_CELLS // max(lam.n, 1))
+    for start in range(0, trials, size):
+        yield _hook_walk_block(lam, min(size, trials - start), gen)
 
 
 def sample_uniform(lam: Partition, seed: int) -> StandardTableau:
     """Deterministic-for-seed uniform sample from the standard tableaux of lam."""
     if lam.n < 1:
         raise ValueError("cannot sample from the empty partition")
-    stream = _UniformStream(seed)
-    row_of = _hook_walk_rows(lam.rows, stream)
-    return StandardTableau(_entries_from_rows(lam.rows, row_of))
+    (block,) = _row_blocks(lam, 1, seed)
+    grid: list[list[int]] = [[] for _ in lam.rows]
+    for v, i in enumerate(block[0].tolist(), start=1):
+        grid[i].append(v)
+    return StandardTableau(grid)
 
 
 def sample_row_sequences(
@@ -252,26 +236,18 @@ def sample_row_sequences(
     The row sequence determines the tableau uniquely (each row is filled in
     increasing order), so it is a cheap identity for frequency tests.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    stream = _UniformStream(seed)
-    rows = lam.rows
-    for _ in range(trials):
-        yield tuple(_hook_walk_rows(rows, stream)[1:])
+    for block in _row_blocks(lam, trials, seed):
+        yield from map(tuple, block.tolist())
 
 
 def maj_histogram_mc(lam: Partition, trials: int, seed: int) -> dict[int, int]:
     """Empirical maj histogram over `trials` hook-walk samples."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    stream = _UniformStream(seed)
-    rows = lam.rows
+    weights = np.arange(1, lam.n, dtype=np.int64)
     counts: dict[int, int] = {}
-    for _ in range(trials):
-        row_of = _hook_walk_rows(rows, stream)
-        total = 0
-        for i in range(1, lam.n):
-            if row_of[i + 1] > row_of[i]:
-                total += i
-        counts[total] = counts.get(total, 0) + 1
+    for block in _row_blocks(lam, trials, seed):
+        # i is a descent when value i + 1 sits in a higher-index row than i
+        majs = (block[:, 1:] > block[:, :-1]) @ weights
+        values, freq = np.unique(majs, return_counts=True)
+        for v, c in zip(values.tolist(), freq.tolist()):
+            counts[v] = counts.get(v, 0) + c
     return counts

@@ -213,6 +213,8 @@ class TestQuadratureConfig:
             QuadratureConfig(nodes=4)
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=0.0)
+        with pytest.raises(ValueError):
+            QuadratureConfig(max_doublings=0)  # convergence compares two passes
 
 
 class TestLambdaDerivatives:

@@ -114,6 +114,14 @@ class TestLd:
         code, _, err = run(capsys, "ld", "--family", "two-row", "--y", "0.2", "--n", "20")
         assert code == 4
 
+    def test_zero_doublings_is_a_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "20",
+            "--quad-max-doublings", "0",
+        )
+        assert code == 2
+        assert "--quad-max-doublings" in err and "slope limit" not in err
+
     def test_beyond_exact_cap_leaves_blanks(self, capsys):
         code, out, _ = run(
             capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "20",
@@ -153,6 +161,30 @@ class TestBochner:
     def test_single_frequency(self, capsys):
         code, out, _ = run(capsys, "bochner", "--omega", '{"alpha":[],"beta":[]}', "--xis", "0")
         assert json.loads(out)["min_eigenvalue"] == 1.0
+
+    def test_zero_doublings_is_a_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "bochner", "--omega", '{"alpha":[],"beta":[]}', "--xis", "0,3,6",
+            "--quad-max-doublings", "0",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "--quad-max-doublings" in err
+
+    def test_unconverged_quadrature(self, capsys):
+        code, _, err = run(
+            capsys, "bochner", "--omega", '{"alpha":[],"beta":[]}', "--xis", "0,3",
+            "--quad-tol", "1e-30",
+        )
+        assert code == 4
+        assert err.startswith("error:") and "did not stabilise" in err
+
+    def test_simplex_edge_point(self, capsys):
+        # alpha sums to 1 + 5e-13, inside the simplex tolerance
+        code, out, _ = run(
+            capsys, "bochner", "--omega", '{"alpha":[0.6000000000005,0.4]}', "--xis", "0,3,6"
+        )
+        assert code == 0
+        assert "min_eigenvalue" in json.loads(out)
 
     def test_degenerate_parameter(self, capsys):
         code, out, _ = run(
@@ -197,6 +229,29 @@ class TestConfig:
         monkeypatch.setenv("MAJMETER_CONFIG", str(cfg))
         args = build_parser().parse_args(["dist", "-p", "2,1", "--quad-nodes", "32"])
         assert args.quad_nodes == 32
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ('{"quad.nodes": 96, "quad.nodez": 32}', "quad.nodez"),
+            ("{not json", "cfg.json"),
+            ("[1, 2]", "cfg.json"),
+        ],
+    )
+    def test_bad_file_is_a_usage_error(self, capsys, tmp_path, monkeypatch, text, needle):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        monkeypatch.setenv("MAJMETER_CONFIG", str(cfg))
+        code, out, err = run(capsys, "dist", "-p", "2,1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and needle in err
+
+    def test_missing_file_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        missing = tmp_path / "absent.json"
+        monkeypatch.setenv("MAJMETER_CONFIG", str(missing))
+        code, _, err = run(capsys, "dist", "-p", "2,1")
+        assert code == 2
+        assert err.startswith("error:") and str(missing) in err
 
 
 def test_module_entry_point():

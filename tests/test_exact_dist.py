@@ -163,6 +163,15 @@ class TestCumulants:
         assert cumulant_from_polynomial(poly, 1) == Fraction(3, 2)
         assert cumulant_from_polynomial(poly, 2) == Fraction(1, 4)
 
+    def test_moment_route_uniform_law(self):
+        # [n]_q is the law of a uniform point of {0, ..., n - 1}: its cumulants
+        # are (n - 1)/2 and B_r (n^r - 1)/r for r >= 2, independent of hooks
+        for n in range(1, 13):
+            poly = QPolynomial([1] * n)
+            assert cumulant_from_polynomial(poly, 1) == Fraction(n - 1, 2)
+            for r in range(2, 9):
+                assert cumulant_from_polynomial(poly, r) == bernoulli(r) * (n ** r - 1) / r
+
     def test_route_agreement(self):
         for n in range(1, 9):
             for lam in partitions_of(n):

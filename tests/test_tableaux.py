@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from scipy.stats import chi2
 
 from majmeter import (
     Partition,
@@ -20,8 +21,13 @@ from majmeter import (
     var_maj,
 )
 from majmeter.errors import CapExceeded
-from majmeter.exact_dist import b_stat, range_maj
-from majmeter.tableaux import maj_multiset, perm_descents, sample_row_sequences
+from majmeter.exact_dist import b_stat, maj_polynomial, range_maj
+from majmeter.tableaux import (
+    _BLOCK_CELLS,
+    maj_multiset,
+    perm_descents,
+    sample_row_sequences,
+)
 
 from conftest import partition_strategy
 
@@ -132,6 +138,14 @@ class TestSampler:
             t = sample_uniform(Partition((5, 3, 1)), seed)
             assert t.shape == Partition((5, 3, 1))
 
+    @pytest.mark.parametrize("rows", [(4, 2, 2, 1), (5, 3, 1), (1,), (1, 1, 1)])
+    def test_single_sample_is_a_batch_of_one(self, rows):
+        lam = Partition(rows)
+        for seed in range(5):
+            tableau = sample_uniform(lam, seed)
+            (sequence,) = sample_row_sequences(lam, 1, seed)
+            assert tuple(tableau.row_of(v) - 1 for v in range(1, lam.n + 1)) == sequence
+
     def test_two_tableaux_balance(self):
         # exact law: each of the 2 tableaux of (2,1) has probability 1/2
         trials = 100_000
@@ -170,6 +184,37 @@ class TestMajHistogramMC:
         mean = sum(v * c for v, c in hist.items()) / trials
         sd = math.sqrt(float(var_maj(lam)))
         assert abs(mean - float(mean_maj(lam))) < 4 * sd / math.sqrt(trials)
+
+    def test_matches_row_sequences(self):
+        lam = Partition((4, 2, 2, 1))
+        expected = Counter(
+            sum(i for i in range(1, lam.n) if rows[i] > rows[i - 1])
+            for rows in sample_row_sequences(lam, 3000, 11)
+        )
+        assert maj_histogram_mc(lam, 3000, 11) == dict(expected)
+
+    def test_partial_last_block(self):
+        lam = Partition((3, 2, 1))
+        trials = 2 * (_BLOCK_CELLS // lam.n) + 7
+        hist = maj_histogram_mc(lam, trials, 5)
+        assert sum(hist.values()) == trials
+        lo, hi = range_maj(lam)
+        assert lo <= min(hist) and max(hist) <= hi
+        assert maj_histogram_mc(lam, trials, 5) == hist
+
+    @pytest.mark.parametrize("rows", [(4, 2, 2, 1), (3, 3, 2)])
+    def test_chi_square_against_exact_law(self, rows):
+        lam = Partition(rows)
+        poly = maj_polynomial(lam)
+        trials = 200_000
+        hist = maj_histogram_mc(lam, trials, 8128)
+        mass = poly.at_one()
+        statistic = 0.0
+        for i, c in enumerate(poly.coeffs):
+            expected = trials * c / mass
+            statistic += (hist.get(poly.offset + i, 0) - expected) ** 2 / expected
+        assert set(hist) <= set(range(poly.offset, poly.degree + 1))
+        assert statistic < chi2.ppf(1 - 1e-3, len(poly.coeffs) - 1)
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
