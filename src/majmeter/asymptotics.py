@@ -289,18 +289,7 @@ def legendre_star(
         return lambda_derivs(mu, h, quad)[0]
 
     lo, hi = 0.0, 1.0
-    while True:
-        try:
-            high_enough = slope(hi) >= target
-        except QuadratureError:
-            # the integrand develops a 1/h boundary layer; by then y is
-            # within O(1/h) of the open upper limit anyway
-            raise OutOfRange(
-                f"deviation {y} is too close to the slope limit {limit} "
-                "for the configured quadrature"
-            ) from None
-        if high_enough:
-            break
+    while slope(hi) < target:
         hi *= 2.0
         if hi > 700.0:
             raise OutOfRange(f"deviation {y} is too close to the slope limit {limit}")
@@ -459,36 +448,6 @@ def mock_fourier_limit(
     return float(_integrate_unit(integrand, quad or DEFAULT_QUAD))
 
 
-def _jacobi_min_eigenvalue(mat: list[list[float]], tol: float = 1e-12) -> float:
-    """Smallest eigenvalue of a small real symmetric matrix by cyclic Jacobi."""
-    a = [row[:] for row in mat]
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    for _ in range(100):
-        off = max(abs(a[p][q]) for p in range(n) for q in range(p + 1, n))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq) <= tol / 10:
-                    continue
-                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = c * akp - s * akq
-                    a[k][q] = s * akp + c * akq
-                for k in range(n):
-                    apk, aqk = a[p][k], a[q][k]
-                    a[p][k] = c * apk - s * aqk
-                    a[q][k] = s * apk + c * aqk
-    return min(a[i][i] for i in range(n))
-
-
 def bochner_check(
     mu: DiscreteMeasure, xis, quad: QuadratureConfig | None = None
 ) -> tuple[list[list[float]], float]:
@@ -513,7 +472,7 @@ def bochner_check(
         [math.exp(lam_imag(xi - xj)) for xj in xis]
         for xi in xis
     ]
-    return matrix, _jacobi_min_eigenvalue(matrix)
+    return matrix, float(np.linalg.eigvalsh(matrix).min())
 
 
 def standard_normal_cdf(s: float) -> float:

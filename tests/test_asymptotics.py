@@ -33,10 +33,7 @@ from majmeter import (
     thoma_embed,
     varphi,
 )
-from majmeter.asymptotics import (
-    _jacobi_min_eigenvalue,
-    standard_normal_cdf,
-)
+from majmeter.asymptotics import standard_normal_cdf
 from majmeter.errors import (
     DegenerateParameter,
     DomainError,
@@ -444,11 +441,6 @@ class TestBochner:
         matrix, eig = bochner_check(DELTA_ONE, (0.0, 3.0, 6.0))
         assert all(abs(v - 1) < 1e-15 for row in matrix for v in row)
         assert abs(eig) < 1e-12
-
-    def test_jacobi_reference(self):
-        assert abs(_jacobi_min_eigenvalue([[2.0, 1.0], [1.0, 2.0]]) - 1.0) < 1e-12
-        mat = [[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 1.0]]
-        assert abs(_jacobi_min_eigenvalue(mat) - min(np.linalg.eigvalsh(mat))) < 1e-10
 
     def test_hermitian_symmetry(self):
         matrix, _ = bochner_check(DELTA_ZERO, (0.0, 1.0, 2.5))

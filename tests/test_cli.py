@@ -122,6 +122,14 @@ class TestLd:
         assert code == 2
         assert "--quad-max-doublings" in err and "slope limit" not in err
 
+    def test_unconverged_quadrature_is_not_a_slope_limit(self, capsys):
+        code, _, err = run(
+            capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "20",
+            "--quad-tol", "1e-30",
+        )
+        assert code == 4
+        assert "did not stabilise" in err and "slope limit" not in err
+
     def test_beyond_exact_cap_leaves_blanks(self, capsys):
         code, out, _ = run(
             capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "20",

@@ -33,6 +33,8 @@ from majmeter.errors import (
     DomainError,
     OddOrder,
 )
+from majmeter.exact_dist import _q_ratio
+from majmeter.families import staircase, three_row, two_row
 from majmeter.tableaux import maj_multiset, perm_descents
 
 from conftest import partition_strategy
@@ -344,3 +346,42 @@ class TestFloatVariant:
         offset, coeffs = maj_polynomial_float(lam)
         assert offset == poly.offset
         assert [int(c) for c in coeffs] == list(poly.coeffs)
+
+    def test_matches_exact_for_every_small_partition(self):
+        # vanishing sines (their signs, and chi = 0 at roots of the law) show here
+        for n in range(1, 13):
+            for lam in partitions_of(n):
+                poly = maj_polynomial(lam)
+                offset, coeffs = maj_polynomial_float(lam)
+                assert offset == poly.offset and [int(c) for c in coeffs] == list(poly.coeffs)
+
+    @pytest.mark.parametrize("build", [two_row, three_row, staircase])
+    def test_bulk_statistics_past_the_cap(self, build):
+        # closed forms only: the exact n = 400 polynomial is never built
+        lam = build(400)
+        offset, coeffs = maj_polynomial_float(lam)
+        assert offset == range_maj(lam)[0] and offset + len(coeffs) - 1 == range_maj(lam)[1]
+        grid = np.arange(offset, offset + len(coeffs), dtype=np.longdouble)
+        mass = coeffs.sum()
+        mean = (grid * coeffs).sum() / mass
+        var = ((grid - mean) ** 2 * coeffs).sum() / mass
+
+        def rel(got, exact):
+            return abs(Fraction(*got.as_integer_ratio()) - exact) / exact
+
+        assert rel(mass, count_standard_tableaux(lam)) <= 1e-12
+        assert rel(mean, mean_maj(lam)) <= 1e-12
+        assert rel(var, var_maj(lam)) <= 1e-12
+
+    def test_zero_degree_past_the_cap(self):
+        offset, coeffs = maj_polynomial_float(Partition((301,)))
+        assert offset == 0 and list(coeffs) == [1]
+        offset, coeffs = maj_polynomial_float(Partition((1,) * 310))
+        assert offset == 310 * 309 // 2 and list(coeffs) == [1]
+
+    @pytest.mark.parametrize(
+        "numerator, denominator", [([2], [3]), ([3], [2]), ([1, 1], [2]), ([4], [1, 1, 3])]
+    )
+    def test_q_ratio_rejects_inexact_division(self, numerator, denominator):
+        with pytest.raises(AssertionError, match="inexact division"):
+            _q_ratio(numerator, denominator)
