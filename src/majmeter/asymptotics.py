@@ -63,20 +63,28 @@ DEFAULT_QUAD = QuadratureConfig()
 
 
 @lru_cache(maxsize=64)
-def _gauss_nodes(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
+def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped to [0, 1] (read-only)."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return tuple(((x + 1.0) / 2.0).tolist()), tuple((w / 2.0).tolist())
+    ts, ws = (x + 1.0) / 2.0, w / 2.0
+    ts.flags.writeable = ws.flags.writeable = False
+    return ts, ws
 
 
 def _integrate_unit(f, quad: QuadratureConfig):
     """Integrate f over [0, 1], doubling the node count until two successive
-    values agree to rel_tol (relative to max(1, |value|))."""
+    values agree to rel_tol (relative to max(1, |value|)).
+
+    f maps the whole node vector to its values in one call.
+    """
     n = quad.nodes
     prev = None
     for _ in range(quad.max_doublings + 1):
         ts, ws = _gauss_nodes(n)
-        total = sum(w * f(t) for t, w in zip(ts, ws))
+        # summed left to right: BLAS dot products and numpy's pairwise sums
+        # order their additions by build and array length, and printed
+        # results must not depend on either
+        total = sum((ws * f(ts)).tolist())
         if prev is not None and abs(total - prev) <= quad.rel_tol * max(1.0, abs(total)):
             return total
         prev = total
@@ -84,77 +92,140 @@ def _integrate_unit(f, quad: QuadratureConfig):
     raise QuadratureError(f"integral did not stabilise with {n // 2} nodes")
 
 
-def _check_domain(z: complex):
-    if z.real == 0.0 and abs(z.imag) >= TWO_PI:
-        raise DomainError(f"{z} lies on the imaginary-axis cut |Im z| >= 2*pi")
+def _cut_point(z, cut: float):
+    """First element of z on the imaginary axis with |Im z| >= cut, or None."""
+    z = np.asarray(z)
+    if z.dtype.kind != "c":
+        return None
+    bad = np.flatnonzero((z.real == 0.0) & (np.abs(z.imag) >= cut))
+    return complex(z.flat[bad[0]]) if bad.size else None
 
 
-def _check_half_domain(z: complex):
-    if z.real == 0.0 and abs(z.imag) >= math.pi:
-        raise DomainError(f"2*{z} lies on the imaginary-axis cut |Im z| >= 2*pi")
+def _check_domain(z):
+    bad = _cut_point(z, TWO_PI)
+    if bad is not None:
+        raise DomainError(f"{bad} lies on the imaginary-axis cut |Im z| >= 2*pi")
 
 
-def phi(z: complex) -> complex:
+def _check_half_domain(z):
+    bad = _cut_point(z, math.pi)
+    if bad is not None:
+        raise DomainError(f"2*{bad} lies on the imaginary-axis cut |Im z| >= 2*pi")
+
+
+def _kernel(z, order: int) -> np.ndarray:
+    """The order-th derivative of the kernel (order 0: the kernel itself),
+    element by element on an array.
+
+    Real input is computed in float64 and complex input in complex128, with
+    the same formulas. phi(z) = z/2 + Log(1 - e^-z) - Log z for Re z > 0
+    (the principal branches stay continuous because |e^-z| < 1), and on the
+    imaginary axis log(sin(xi/2) / (xi/2)), real for 0 < xi < 2*pi;
+    phi'(z) = coth(z/2)/2 - 1/z, phi''(z) = 1/z^2 - 1/(4 sinh^2(z/2)) and
+    phi'''(z) = -2/z^3 + cosh(z/2) / (4 sinh^3(z/2)). Evenness maps every
+    argument to Re z > 0 or to the upper imaginary axis, odd orders changing
+    sign. Taylor series replace the closed forms where they cancel: below
+    |z| = 1e-3 for the kernel and below |z| = 1/4 for its derivatives. Where
+    Re z/2 > 350 the hyperbolic terms sit at their limits (sinh^2 would
+    overflow soon after).
+    """
+    z = np.asarray(z)
+    z = z.astype(np.complex128 if z.dtype.kind == "c" else np.float64, copy=False)
+    _check_domain(z)
+    shape = z.shape
+    z = z.ravel()
+    out = np.empty_like(z)
+    small = np.abs(z) < (1e-3 if order == 0 else 0.25)
+    if small.any():
+        s = z[small]
+        if order == 0:
+            w = s * s
+            out[small] = w * (1.0 / 24 + w * (-1.0 / 2880 + w * (1.0 / 181440)))
+        else:
+            total = np.zeros_like(s)
+            for r, c in _KERNEL_COEFFS:
+                if r >= order:
+                    total += math.perm(r, order) * c * s ** (r - order)
+            out[small] = total
+    big = ~small
+    if not big.any():
+        return out.reshape(shape)
+    a = z[big]
+    flip = (a.real < 0) | ((a.real == 0.0) & (a.imag < 0))
+    a = np.where(flip, -a, a)
+    if order == 0:
+        value = np.empty_like(a)
+        axis = a.real == 0.0
+        if axis.any():
+            half = 0.5 * a[axis].imag
+            value[axis] = np.log(np.sin(half) / half)
+        rest = ~axis
+        ar = a[rest]
+        value[rest] = 0.5 * ar + np.log(-np.expm1(-ar)) - np.log(ar)
+    else:
+        w = 0.5 * a
+        # coth and 1/sinh^2 of w, at their limits 1 and 0 where sinh overflows
+        coth, csch2 = np.ones_like(a), np.zeros_like(a)
+        hyp = w.real <= 350.0
+        if hyp.any():
+            s = np.sinh(w[hyp])
+            coth[hyp], csch2[hyp] = np.cosh(w[hyp]) / s, 1.0 / (s * s)
+        if order == 1:
+            value = 0.5 * coth - 1.0 / a
+        elif order == 2:
+            value = 1.0 / (a * a) - 0.25 * csch2
+        else:
+            value = -2.0 / (a * a * a) + 0.25 * coth * csch2
+        if order % 2:
+            value = np.where(flip, -value, value)
+    out[big] = value
+    return out.reshape(shape)
+
+
+def phi(z):
     """Even kernel log(sinh(z/2) / (z/2)) on the doubly cut plane.
 
-    For Re z > 0 this is evaluated as z/2 + Log(1 - e^-z) - Log z, which keeps
-    the principal branches continuous because |e^-z| < 1; evenness extends the
-    formula to Re z < 0, and a Taylor series covers |z| < 1e-3.
+    An ndarray gives an ndarray (float64 for real input, complex128 for
+    complex input); a scalar gives a complex.
     """
-    z = complex(z)
-    _check_domain(z)
-    if abs(z) < 1e-3:
-        w = z * z
-        return w * (1.0 / 24 + w * (-1.0 / 2880 + w * (1.0 / 181440)))
-    if z.real < 0:
-        z = -z
-    if z.real == 0.0:
-        xi = abs(z.imag)  # 0 < xi < 2*pi, so the sine is positive
-        return complex(math.log(math.sin(0.5 * xi) / (0.5 * xi)))
-    return 0.5 * z + cmath.log(1.0 - cmath.exp(-z)) - cmath.log(z)
+    if isinstance(z, np.ndarray):
+        return _kernel(z, 0)
+    return complex(_kernel(z, 0))
 
 
-def varphi(z: complex) -> complex:
-    """Odd-shifted kernel log((e^z - 1) / z) = phi(z) + z/2."""
-    z = complex(z)
+def varphi(z):
+    """Odd-shifted kernel log((e^z - 1) / z) = phi(z) + z/2; arrays as phi."""
     return phi(z) + 0.5 * z
 
 
-def phi_derivs(z: complex) -> tuple[complex, complex, complex]:
-    """First three derivatives of the kernel.
+def phi_derivs(z):
+    """First three derivatives of the kernel; arrays as phi, so an ndarray
+    gives a 3-tuple of ndarrays and a scalar a 3-tuple of complex."""
+    if isinstance(z, np.ndarray):
+        return tuple(_kernel(z, k) for k in (1, 2, 3))
+    return tuple(complex(_kernel(z, k)) for k in (1, 2, 3))
 
-    phi'(z) = coth(z/2)/2 - 1/z, phi''(z) = 1/z^2 - 1/(4 sinh^2(z/2)),
-    phi'''(z) = -2/z^3 + cosh(z/2) / (4 sinh^3(z/2)); a series handles
-    |z| < 1/4 where the closed forms cancel catastrophically.
+
+def _lambda_deriv(mu: DiscreteMeasure, z, order: int, quad: QuadratureConfig):
+    """The order-th z-derivative of lambda_omega (order 0: lambda_omega):
+    int_0^1 t^k (phi^(k)(tz) - sum_atoms w x^k phi^(k)(txz)) dt.
+
+    Real z stays on the float64 path. The integrand is evaluated on all
+    quadrature nodes and atoms at once; atoms at x = 0 contribute nothing.
     """
-    z = complex(z)
-    _check_domain(z)
-    if abs(z) < 0.25:
-        d1 = 0j
-        d2 = 0j
-        d3 = 0j
-        for r, c in _KERNEL_COEFFS:
-            d1 += r * c * z ** (r - 1)
-            d2 += r * (r - 1) * c * z ** (r - 2)
-            if r >= 3:
-                d3 += r * (r - 1) * (r - 2) * c * z ** (r - 3)
-        return d1, d2, d3
-    sign = 1.0
-    if z.real < 0 or (z.real == 0 and z.imag < 0):
-        z = -z
-        sign = -1.0  # odd derivatives flip, the even one does not
-    w = 0.5 * z
-    if w.real > 350.0:
-        d1 = 0.5 - 1.0 / z
-        d2 = 1.0 / (z * z)
-        d3 = -2.0 / (z * z * z)
-    else:
-        s = cmath.sinh(w)
-        c = cmath.cosh(w)
-        d1 = 0.5 * c / s - 1.0 / z
-        d2 = 1.0 / (z * z) - 0.25 / (s * s)
-        d3 = -2.0 / (z * z * z) + 0.25 * c / (s * s * s)
-    return sign * d1, d2, sign * d3
+    xs, ws = np.array(
+        [(x, w) for x, w in mu.float_atoms() if w > 0 and x != 0], dtype=float
+    ).reshape(-1, 2).T
+    weights = ws * xs ** order
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        tz = t * z
+        values = _kernel(tz, order)
+        if xs.size:
+            values = values - _kernel(np.multiply.outer(tz, xs), order) @ weights
+        return values if order == 0 else t ** order * values
+
+    return _integrate_unit(integrand, quad)
 
 
 def lambda_omega(mu: DiscreteMeasure, z: complex, quad: QuadratureConfig | None = None) -> complex:
@@ -166,18 +237,7 @@ def lambda_omega(mu: DiscreteMeasure, z: complex, quad: QuadratureConfig | None 
     _check_domain(z)
     if z == 0:
         return 0j
-    atoms = [(x, w) for x, w in mu.float_atoms() if w > 0]
-
-    def integrand(t: float) -> complex:
-        tz = t * z
-        base = phi(tz)
-        total = base  # weights sum to 1
-        for x, w in atoms:
-            if x != 0:
-                total -= w * phi(x * tz)
-        return total
-
-    return _integrate_unit(integrand, quad or DEFAULT_QUAD)
+    return complex(_lambda_deriv(mu, z.real if z.imag == 0 else z, 0, quad or DEFAULT_QUAD))
 
 
 def _require_nondegenerate(mu: DiscreteMeasure):
@@ -195,22 +255,8 @@ def lambda_derivs(
     degenerate corners of the simplex).
     """
     _require_nondegenerate(mu)
-    h = float(h)
     quad = quad or DEFAULT_QUAD
-    atoms = [(x, w) for x, w in mu.float_atoms() if w > 0]
-
-    def make(order: int):
-        def integrand(t: float) -> complex:
-            tk = t ** order
-            total = tk * phi_derivs(t * h)[order - 1]
-            for x, w in atoms:
-                if x != 0:
-                    total -= w * (tk * x ** order) * phi_derivs(t * x * h)[order - 1]
-            return total
-
-        return integrand
-
-    return tuple(_integrate_unit(make(k), quad).real for k in (1, 2, 3))
+    return tuple(float(_lambda_deriv(mu, float(h), k, quad)) for k in (1, 2, 3))
 
 
 def lambda_prime_limit(mu: DiscreteMeasure) -> float:
@@ -273,9 +319,13 @@ def legendre_star(
 ) -> tuple[float, float]:
     """Solve lambda'(h) = y and return (h, h*y - lambda(h)).
 
-    The derivative is strictly increasing with range (-limit, limit), so the
-    root is bracketed by doubling and then bisected until the residual
-    |lambda'(h) - y| drops below 1e-12.
+    The derivative is strictly increasing with range (-limit, limit), since
+    lambda'' > 0. The root is bracketed by doubling and then found by
+    safeguarded Newton steps on lambda'(h) = y, started from the lower end
+    of the bracket; a step that would leave the bracket is replaced by
+    bisection. Stops once the residual |lambda'(h) - y| is below 1e-12, and
+    raises QuadratureError when it is not after 200 steps or when the
+    bracket can shrink no further.
     """
     _require_nondegenerate(mu)
     y = float(y)
@@ -286,19 +336,29 @@ def legendre_star(
     target = abs(y)
 
     def slope(h: float) -> float:
-        return lambda_derivs(mu, h, quad)[0]
+        return float(_lambda_deriv(mu, h, 1, quad))
 
-    lo, hi = 0.0, 1.0
-    while slope(hi) < target:
+    lo, v, hi = 0.0, 0.0, 1.0  # lambda' is odd, so lambda'(0) = 0
+    while (v_hi := slope(hi)) < target:
+        lo, v = hi, v_hi
         hi *= 2.0
         if hi > 700.0:
             raise OutOfRange(f"deviation {y} is too close to the slope limit {limit}")
-    h = hi
-    for _ in range(200):
-        h = 0.5 * (lo + hi)
+    h, steps = lo, 0
+    while abs(v - target) > 1e-12:
+        if steps == 200:
+            raise QuadratureError(
+                f"Legendre conjugation at y = {y} did not converge in {steps} steps "
+                f"(residual {abs(v - target):.3g})")
+        steps += 1
+        curvature = float(_lambda_deriv(mu, h, 2, quad))
+        newton = h + (target - v) / curvature if curvature > 0 else hi
+        h = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if not lo < h < hi:
+            raise QuadratureError(
+                f"Legendre conjugation at y = {y} did not converge: the bracket "
+                f"closed at h = {h!r} with residual {abs(v - target):.3g}")
         v = slope(h)
-        if abs(v - target) <= 1e-12:
-            break
         if v < target:
             lo = h
         else:
@@ -357,7 +417,7 @@ def ld_estimate(
     prefactor_mu = mu_limit if use_limit_prefactor else mu_n
     h, _ = legendre_star(prefactor_mu, signed_y, quad)
     psi_h = psi_omega(prefactor_mu, h).real
-    lam2 = lambda_derivs(prefactor_mu, h, quad)[1]
+    lam2 = float(_lambda_deriv(prefactor_mu, h, 2, quad or DEFAULT_QUAD))
     estimate = math.exp(-n * rate + psi_h) / (abs(h) * math.sqrt(2.0 * math.pi * n * lam2))
     return LDReport(
         y=y, side=side, h=h, rate=rate, psi_at_h=psi_h, lambda2_at_h=lam2,
@@ -439,11 +499,12 @@ def mock_fourier_limit(
     if mu.mass_at_zero() > 0:
         raise ZeroAtomUnsupported("the limit integrand is -inf on an atom at 0")
     h = abs(float(h))
-    atoms = [(abs(x), w) for x, w in mu.float_atoms() if w > 0]
+    xs, ws = np.array([(abs(x), w) for x, w in mu.float_atoms() if w > 0]).T
 
-    def integrand(t: float) -> float:
-        base = math.log(-math.expm1(-t * h))
-        return sum(w * (math.log(-math.expm1(-t * ax * h)) - base) for ax, w in atoms)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        th = t * h
+        base = np.log(-np.expm1(-th))
+        return (np.log(-np.expm1(-np.multiply.outer(th, xs))) - base[:, None]) @ ws
 
     return float(_integrate_unit(integrand, quad or DEFAULT_QUAD))
 
@@ -489,7 +550,8 @@ def edgeworth_cdf(
     G(t) = Phi(t) - lambda'''(h) (t^2 - 1) e^{-t^2/2} / (6 sqrt(2 pi n lambda''(h)^3));
     the correction integrates to zero, so G(-inf) = 0 and G(+inf) = 1.
     """
-    _, lam2, lam3 = lambda_derivs(mu, h, quad)
+    _require_nondegenerate(mu)
+    lam2, lam3 = (float(_lambda_deriv(mu, float(h), k, quad or DEFAULT_QUAD)) for k in (2, 3))
     if lam2 <= 0:
         raise DegenerateParameter("second derivative must be positive")
     coef = lam3 / (6.0 * math.sqrt(float(n) * lam2 ** 3))
@@ -504,7 +566,5 @@ def sn_log_laplace(n: int, z: complex) -> complex:
         raise ValueError("n must be >= 1")
     z = complex(z)
     _check_domain(z)
-    total = -n * varphi(z / n) - (n - 1) * z / 4.0
-    for k in range(1, n + 1):
-        total += varphi(k * z / n)
-    return total
+    terms = varphi(np.arange(1, n + 1) * z / n)
+    return complex(terms.sum()) - n * terms[0] - (n - 1) * z / 4.0

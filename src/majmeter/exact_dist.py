@@ -398,9 +398,5 @@ def log_laplace_exact(lam: Partition, z: complex) -> complex:
     z = complex(z)
     _check_half_domain(z)
     n = lam.n
-    total = b_stat(lam) * z / n
-    for k in range(1, n + 1):
-        total += varphi(k * z / n)
-    for h in hook_list(lam):
-        total -= varphi(h * z / n)
-    return total
+    terms = varphi(np.array([*range(1, n + 1), *hook_list(lam)]) * z / n)
+    return b_stat(lam) * z / n + complex(terms[:n].sum() - terms[n:].sum())

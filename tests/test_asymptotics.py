@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import spence
 from scipy.stats import norm
 
 from majmeter import (
@@ -33,13 +35,16 @@ from majmeter import (
     thoma_embed,
     varphi,
 )
+from majmeter import asymptotics
 from majmeter.asymptotics import standard_normal_cdf
 from majmeter.errors import (
     DegenerateParameter,
     DomainError,
     OutOfRange,
+    QuadratureError,
     ZeroAtomUnsupported,
 )
+from majmeter.families import staircase
 
 from conftest import partition_strategy
 
@@ -137,6 +142,86 @@ class TestKernelDerivatives:
         hi = phi_derivs(0.2501)
         for a, b in zip(lo, hi):
             assert abs(a - b) < 1e-3 * max(1.0, abs(a)) or abs(a - b) < 2e-4
+
+
+def _point_near(radius, offset, angle):
+    return radius * (1 + offset) * cmath.exp(1j * angle)
+
+
+# points within 1e-6 relative of the |z| = 1e-3 and |z| = 1/4 series switches,
+# of Re z / 2 = 350 where the hyperbolic terms go to their limits, and of the
+# imaginary-axis cut |Im z| = 2*pi
+_offsets = st.floats(min_value=-1e-6, max_value=1e-6)
+near_series_switch = st.builds(
+    _point_near, st.sampled_from([1e-3, 0.25]), _offsets,
+    st.floats(min_value=-math.pi, max_value=math.pi),
+)
+near_clip = st.builds(
+    lambda offset, im, sign: complex(sign * 700 * (1 + offset), im),
+    _offsets, st.floats(min_value=-50, max_value=50), st.sampled_from([-1, 1]),
+)
+near_cut = st.builds(
+    lambda offset, sign: complex(0, sign * 2 * math.pi * (1 + offset)),
+    _offsets, st.sampled_from([-1, 1]),
+)
+on_real_seam = st.builds(
+    lambda radius, offset, sign: sign * radius * (1 + offset),
+    st.sampled_from([1e-3, 0.25, 700.0]), _offsets, st.sampled_from([-1.0, 1.0]),
+)
+
+
+def _kernel_and_derivs(z):
+    return (phi(z), *phi_derivs(z))
+
+
+class TestKernelSeams:
+    """The array kernel against its scalar wrappers where its branches meet."""
+
+    @given(st.lists(st.one_of(near_series_switch, near_clip), min_size=1, max_size=16))
+    def test_array_matches_scalar_wrappers(self, zs):
+        arrays = _kernel_and_derivs(np.array(zs, dtype=complex))
+        for i, z in enumerate(zs):
+            for got, want in zip((a[i] for a in arrays), _kernel_and_derivs(z)):
+                assert abs(got - want) <= 1e-14 * abs(want)
+
+    @given(st.lists(on_real_seam, min_size=1, max_size=16))
+    def test_real_array_matches_scalar_wrappers(self, xs):
+        arrays = _kernel_and_derivs(np.array(xs))
+        assert all(a.dtype == np.float64 for a in arrays)
+        for i, x in enumerate(xs):
+            for got, want in zip((a[i] for a in arrays), _kernel_and_derivs(x)):
+                assert abs(got - want) <= 1e-14 * abs(want)
+
+    @given(st.lists(near_cut, min_size=1, max_size=8))
+    def test_cut(self, zs):
+        on_cut = [abs(z.imag) >= 2 * math.pi for z in zs]
+        for f in (phi, phi_derivs, varphi):
+            if any(on_cut):
+                with pytest.raises(DomainError):
+                    f(np.array(zs))
+            for z, bad in zip(zs, on_cut):
+                if bad:
+                    with pytest.raises(DomainError):
+                        f(z)
+        if not any(on_cut):
+            values = phi(np.array(zs))
+            assert np.all(values.imag == 0)
+            assert all(values[i] == phi(z) for i, z in enumerate(zs))
+
+    @given(st.lists(on_real_seam, min_size=1, max_size=16))
+    def test_real_path_matches_complex_path(self, xs):
+        # the closed forms cancel terms as large as |z|^-(k+1) (the k-th
+        # derivative) or |z| and |log z| (the kernel), so the two dtypes may
+        # differ by a few units in the last place of those terms
+        real = _kernel_and_derivs(np.array(xs))
+        cplx = _kernel_and_derivs(np.array(xs, dtype=complex))
+        for order, (r, c) in enumerate(zip(real, cplx)):
+            assert np.all(c.imag == 0)
+            a = np.abs(xs)
+            scale = np.maximum.reduce([np.ones_like(a), a, np.abs(np.log(a))])
+            if order:
+                scale = np.maximum(scale, a ** -(order + 1))
+            assert np.all(np.abs(r - c.real) <= 1e-14 * scale)
 
 
 class TestLambda:
@@ -337,6 +422,34 @@ class TestLegendre:
         with pytest.raises(DegenerateParameter):
             legendre_star(DELTA_ONE, 0.01)
 
+    def test_slope_that_never_meets_the_target_raises(self, monkeypatch):
+        # a slope that jumps over the target leaves every h with a residual
+        # far above 1e-12: the conjugation must fail, not return an h
+        real = asymptotics._lambda_deriv
+
+        def stepped(mu, h, order, quad):
+            if order == 1:
+                return 0.0 if h < 1.3 else 1.0
+            return real(mu, h, order, quad)
+
+        monkeypatch.setattr(asymptotics, "_lambda_deriv", stepped)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            legendre_star(HALF_HALF, 0.05)
+
+    def test_derivative_integrals_per_solve(self, monkeypatch):
+        # work guard: Newton needs a handful of one-order integrals (9 here),
+        # bisection to the same residual about 35 slope evaluations
+        real = asymptotics._lambda_deriv
+        orders = []
+
+        def counted(mu, h, order, quad):
+            orders.append(order)
+            return real(mu, h, order, quad)
+
+        monkeypatch.setattr(asymptotics, "_lambda_deriv", counted)
+        legendre_star(measure_of(thoma_embed(staircase(60))), 0.04)
+        assert len(orders) <= 12
+
 
 class TestLDEstimate:
     def test_fields_and_signs(self):
@@ -370,6 +483,103 @@ class TestLDEstimate:
         assert set(data) == {
             "y", "side", "h", "rate", "psi_at_h", "lambda2_at_h", "estimate",
         }
+
+
+PI2_OVER_6 = math.pi ** 2 / 6
+
+
+def _li2_exp_minus(a):
+    """Li_2(e^-a) through scipy: Li_2(x) = spence(1 - x)."""
+    return spence(-math.expm1(-a))
+
+
+def _g_and_derivs(a):
+    """g(a) = int_0^1 phi(ta) dt = G(a)/a and its first three derivatives at
+    a > 0, where G(a) = a^2/4 + Li_2(e^-a) - pi^2/6 - a log a + a is the
+    antiderivative of the kernel; g^(k+1) = (phi^(k) - (k+1) g^(k)) / a."""
+    g = (a * a / 4 + _li2_exp_minus(a) - PI2_OVER_6 - a * math.log(a) + a) / a
+    kernel = (
+        a / 2 + math.log(-math.expm1(-a)) - math.log(a),
+        0.5 / math.tanh(a / 2) - 1 / a,
+        1 / a ** 2 - 0.25 / math.sinh(a / 2) ** 2,
+    )
+    out = [g]
+    for k, value in enumerate(kernel):
+        out.append((value - (k + 1) * out[-1]) / a)
+    return np.array(out)
+
+
+def _lambda_oracle(mu, h):
+    """lambda and its first three derivatives at h > 0:
+    g^(k)(h) - sum w |x|^k g^(k)(|x| h)."""
+    total = _g_and_derivs(h)
+    for x, w in mu.float_atoms():
+        if w > 0 and x != 0:
+            total -= w * abs(x) ** np.arange(4) * _g_and_derivs(abs(x) * h)
+    return total
+
+
+def _oracle_tol(h):
+    # below h = 1 the closed form cancels against itself (G(h) ~ h^3/72)
+    return 1e-12 if h >= 1 else 1e-11
+
+
+ORACLE_MEASURES = {
+    "delta-zero": DELTA_ZERO,
+    "half-half": HALF_HALF,
+    "alpha-beta": measure_of(ThomaParam((Fraction(3, 5), Fraction(1, 5)), (Fraction(1, 5),))),
+    "staircase-60": measure_of(thoma_embed(staircase(60))),
+}
+
+
+class TestClosedFormOracle:
+    """The real-axis analytic layer against the dilogarithm closed form,
+    which shares no code with majmeter."""
+
+    @pytest.mark.parametrize("quad", [None, QuadratureConfig(nodes=96)], ids=["64", "96"])
+    @pytest.mark.parametrize("name", ORACLE_MEASURES)
+    def test_lambda_and_derivatives(self, name, quad):
+        mu = ORACLE_MEASURES[name]
+        for h in (0.3, 0.7, 1.0, 2.0, 5.0, 17.0, 50.0):
+            got = (lambda_omega(mu, h, quad).real, *lambda_derivs(mu, h, quad))
+            # the third derivative only from h = 2: its closed form divides an
+            # O(1) cancellation by h^3 and is 5e-12 off at h = 1
+            orders = 4 if h >= 2 else 3
+            for value, exact in zip(got[:orders], _lambda_oracle(mu, h)[:orders]):
+                assert abs(value - exact) <= _oracle_tol(h) * abs(exact), (h, value, exact)
+
+    @pytest.mark.parametrize("name", ORACLE_MEASURES)
+    def test_legendre_rate(self, name):
+        mu = ORACLE_MEASURES[name]
+        for fraction in (0.1, 0.3, 0.6):
+            y = fraction * lambda_prime_limit(mu)
+            h = brentq(lambda s: _lambda_oracle(mu, s)[1] - y, 1e-3, 700, xtol=1e-14)
+            exact = h * y - _lambda_oracle(mu, h)[0]
+            _, rate = legendre_star(mu, y)
+            assert abs(rate - exact) <= _oracle_tol(h) * exact, (y, rate, exact)
+
+    @pytest.mark.parametrize("name", ["half-half", "alpha-beta", "staircase-60"])
+    def test_mock_fourier_limit(self, name):
+        # int_0^1 log(1 - e^{-tb}) dt = (Li_2(e^-b) - pi^2/6) / b
+        mu = ORACLE_MEASURES[name]
+
+        def log_integral(b):
+            return (_li2_exp_minus(b) - PI2_OVER_6) / b
+
+        for h in (0.3, 1.0, 5.0, 50.0):
+            exact = sum(
+                w * (log_integral(abs(x) * h) - log_integral(h))
+                for x, w in mu.float_atoms() if w > 0
+            )
+            value = mock_fourier_limit(mu, h)
+            assert abs(value - exact) <= _oracle_tol(h) * abs(exact), (h, value, exact)
+
+    def test_slope_expansion_at_large_h(self):
+        # criterion 10b's lambda'(h) = 1/4 - 1/h + pi^2/(6h^2) + O(e^-h)
+        h = 50.0
+        expansion = 0.25 - 1 / h + PI2_OVER_6 / h ** 2
+        assert abs(_lambda_oracle(DELTA_ZERO, h)[1] - expansion) <= 1e-15
+        assert abs(lambda_derivs(DELTA_ZERO, h)[0] - expansion) <= 1e-12 * expansion
 
 
 class TestBerryEsseen:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from majmeter import asymptotics
 from majmeter.cli import build_parser, main
 from majmeter.families import family, staircase, three_row, two_row
 from majmeter.partitions import Partition
@@ -129,6 +130,20 @@ class TestLd:
         )
         assert code == 4
         assert "did not stabilise" in err and "slope limit" not in err
+
+    def test_unconverged_conjugation_exits_4(self, capsys, monkeypatch):
+        real = asymptotics._lambda_deriv
+
+        def stepped(mu, h, order, quad):
+            if order == 1:  # jumps over every target in (0, 1)
+                return 0.0 if h < 1.3 else 1.0
+            return real(mu, h, order, quad)
+
+        monkeypatch.setattr(asymptotics, "_lambda_deriv", stepped)
+        code, out, err = run(capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "20")
+        assert code == 4 and out == ""
+        assert err.startswith("error:") and "did not converge" in err
+        assert "Traceback" not in err
 
     def test_beyond_exact_cap_leaves_blanks(self, capsys):
         code, out, _ = run(
