@@ -11,7 +11,6 @@ need the halved domain (|Im z| < pi on the imaginary axis).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -264,12 +263,31 @@ def lambda_prime_limit(mu: DiscreteMeasure) -> float:
     return 0.25 * (1.0 - float(mu.moment(1)))
 
 
-def _one_minus_ucoth(u: complex) -> complex:
-    """1 - u*coth(u), series for small |u| to avoid cancellation."""
-    if abs(u) < 1e-2:
-        w = u * u
-        return w * (-1.0 / 3 + w * (1.0 / 45 - w * (2.0 / 945)))
-    return 1.0 - u * cmath.cosh(u) / cmath.sinh(u)
+def _psi_pairs(x: np.ndarray, y: np.ndarray, z: complex) -> np.ndarray:
+    """The two-atom integrand on equal-shape arrays of atom coordinates, for
+    z in the halved domain.
+
+    Where |xy| >= 1e-6 it is (phi((y-x)z) - phi(yz) - phi(-xz)) / (xy), from
+    one order-0 kernel call over all such pairs. Where |x| and |y| are both
+    below 1e-3 it is -z^2/12. In between it is the limit across the nearer
+    axis, (1 - u coth u)/c^2 with u = cz/2 and c the coordinate of larger
+    modulus, evaluated as -z phi'(cz)/c (since 1 - u coth u = -2u phi'(2u))
+    from one order-1 kernel call.
+    """
+    xy = x * y
+    out = np.empty(x.shape, dtype=complex)
+    general = np.abs(xy) >= 1e-6
+    origin = np.maximum(np.abs(x), np.abs(y)) < 1e-3
+    axis = ~general & ~origin
+    if general.any():
+        xg, yg = x[general], y[general]
+        k = _kernel(np.concatenate(((yg - xg) * z, yg * z, -xg * z)), 0).reshape(3, -1)
+        out[general] = (k[0] - k[1] - k[2]) / xy[general]
+    if axis.any():
+        c = np.where(np.abs(x) <= np.abs(y), y, x)[axis]
+        out[axis] = -z * _kernel(c * z, 1) / c
+    out[origin] = -z * z / 12.0
+    return out
 
 
 def psi_integrand(x: float, y: float, z: complex) -> complex:
@@ -283,35 +301,24 @@ def psi_integrand(x: float, y: float, z: complex) -> complex:
     _check_half_domain(z)
     if abs(x) > 1 or abs(y) > 1:
         raise ValueError("atom coordinates must lie in [-1, 1]")
-    ax, ay = abs(x), abs(y)
-    if ax * ay < 1e-6:
-        if max(ax, ay) < 1e-3:
-            return -z * z / 12.0
-        if ax <= ay:
-            u = 0.5 * z * y
-            return _one_minus_ucoth(u) / (y * y)
-        u = 0.5 * z * x
-        return _one_minus_ucoth(u) / (x * x)
-    return (phi((y - x) * z) - phi(y * z) - phi(-x * z)) / (x * y)
+    return complex(_psi_pairs(np.array([x], dtype=float), np.array([y], dtype=float), z)[0])
 
 
 def psi_omega(mu: DiscreteMeasure, z: complex) -> complex:
     """Constant-order term: phi(z)/2 plus half the double atom sum of the
-    two-atom integrand."""
+    two-atom integrand, evaluated over all pairs of charged atoms at once."""
     z = complex(z)
     _check_half_domain(z)
     if z == 0:
         return 0j
-    atoms = mu.float_atoms()
-    total = 0j
-    for x, wx in atoms:
-        if wx == 0:
-            continue
-        for y, wy in atoms:
-            if wy == 0:
-                continue
-            total += wx * wy * psi_integrand(x, y, z)
-    return 0.5 * (phi(z) + total)
+    xs, ws = np.array(
+        [(x, w) for x, w in mu.float_atoms() if w != 0], dtype=float
+    ).reshape(-1, 2).T
+    x, y = np.meshgrid(xs, xs, indexing="ij")
+    terms = np.multiply.outer(ws, ws) * _psi_pairs(x, y, z)
+    # summed row-major, left to right, so the total does not depend on numpy's
+    # pairwise summation order
+    return 0.5 * (phi(z) + sum(terms.ravel().tolist(), 0j))
 
 
 def legendre_star(
@@ -323,9 +330,9 @@ def legendre_star(
     lambda'' > 0. The root is bracketed by doubling and then found by
     safeguarded Newton steps on lambda'(h) = y, started from the lower end
     of the bracket; a step that would leave the bracket is replaced by
-    bisection. Stops once the residual |lambda'(h) - y| is below 1e-12, and
-    raises QuadratureError when it is not after 200 steps or when the
-    bracket can shrink no further.
+    bisection. Stops once the relative residual |lambda'(h) - y| / |y| is
+    below 1e-12, and raises QuadratureError when it is not after 200 steps
+    or when the bracket can shrink no further.
     """
     _require_nondegenerate(mu)
     y = float(y)
@@ -345,7 +352,7 @@ def legendre_star(
         if hi > 700.0:
             raise OutOfRange(f"deviation {y} is too close to the slope limit {limit}")
     h, steps = lo, 0
-    while abs(v - target) > 1e-12:
+    while abs(v - target) > 1e-12 * target:
         if steps == 200:
             raise QuadratureError(
                 f"Legendre conjugation at y = {y} did not converge in {steps} steps "
@@ -413,9 +420,10 @@ def ld_estimate(
     if y <= 0:
         raise OutOfRange("the deviation y must be positive")
     signed_y = y if side == "upper" else -y
-    _, rate = legendre_star(mu_n, signed_y, quad)
+    h, rate = legendre_star(mu_n, signed_y, quad)
     prefactor_mu = mu_limit if use_limit_prefactor else mu_n
-    h, _ = legendre_star(prefactor_mu, signed_y, quad)
+    if use_limit_prefactor:
+        h, _ = legendre_star(mu_limit, signed_y, quad)
     psi_h = psi_omega(prefactor_mu, h).real
     lam2 = float(_lambda_deriv(prefactor_mu, h, 2, quad or DEFAULT_QUAD))
     estimate = math.exp(-n * rate + psi_h) / (abs(h) * math.sqrt(2.0 * math.pi * n * lam2))

@@ -1,5 +1,14 @@
 """Command-line front end: batch computations and CSV/JSON emission.
 
+Each subcommand takes only the shared flags its cmd_* function reads
+(`--output` everywhere; `--format`, `--strict`, `--seed`, `--exact-cap` and
+the `--quad-*` flags where they are used); any other flag is a usage error.
+The parser is built once per process and reads no environment. The file
+named by MAJMETER_CONFIG is read on every `main` call, after parsing, and
+fills in the settable flags the command line left out: flag, then config
+file, then built-in default. A config key for a flag the subcommand does not
+take is ignored, since one file serves every subcommand.
+
 Exit codes: 0 success, 2 usage or parse failure (including a bad
 MAJMETER_CONFIG file), 3 resource cap exceeded, 4 domain or range violation
 or a quadrature that did not converge.
@@ -8,6 +17,7 @@ or a quadrature that did not converge.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -15,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import asymptotics, exact_dist, families, tableaux
-from .asymptotics import QuadratureConfig
+from .asymptotics import DEFAULT_QUAD, QuadratureConfig
 from .errors import (
     CapExceeded,
     DegenerateDistribution,
@@ -45,22 +55,39 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_DOMAIN = 4
 
-_USAGE_ERRORS = (EmptyPartition, InvalidRow, InvalidSimplexPoint, ValueError,
-                 json.JSONDecodeError)
+_USAGE_ERRORS = (EmptyPartition, InvalidRow, InvalidSimplexPoint, ValueError)
 _DOMAIN_ERRORS = (OutOfRange, DomainError, DegenerateParameter, ZeroAtomUnsupported,
                   QuadratureError)
 
+# MAJMETER_CONFIG key -> (flag dest, built-in default)
 _CONFIG_KEYS = {
-    "quad.nodes": "quad_nodes",
-    "quad.rel_tol": "quad_tol",
-    "quad.max_doublings": "quad_max_doublings",
-    "exact_cap": "exact_cap",
-    "seed": "seed",
+    "quad.nodes": ("quad_nodes", DEFAULT_QUAD.nodes),
+    "quad.rel_tol": ("quad_tol", DEFAULT_QUAD.rel_tol),
+    "quad.max_doublings": ("quad_max_doublings", DEFAULT_QUAD.max_doublings),
+    "exact_cap": ("exact_cap", exact_dist.BIGINT_CAP),
+    "seed": ("seed", 0),
 }
+
+# the flags subcommands share; those with a config key parse to None when
+# absent and are filled in by `parse_args`
+_SHARED_FLAGS = {
+    "--output": {"help": "write to this path instead of stdout"},
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+    "--quad-nodes": {"type": int},
+    "--quad-tol": {"type": float},
+    "--quad-max-doublings": {"type": int},
+    "--seed": {"type": int},
+    "--exact-cap": {"type": int},
+    "--strict": {"action": "store_true", "help": "reject partitions that are not sorted"},
+}
+_QUAD_FLAGS = ("--quad-nodes", "--quad-tol", "--quad-max-doublings")
 
 
 def _fmt(x) -> str:
-    """Floats at 17 significant digits, rationals as p/q, the rest via str."""
+    """Floats at 17 significant digits, rationals as p/q, None as an empty
+    field, the rest via str."""
+    if x is None:
+        return ""
     if isinstance(x, float):
         return format(x, ".17g")
     if isinstance(x, Fraction):
@@ -71,13 +98,11 @@ def _fmt(x) -> str:
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return _fmt(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
 def _write(args, text: str):
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
@@ -97,7 +122,8 @@ def _quad_from(args) -> QuadratureConfig:
         ) from None
 
 
-def _load_config_defaults() -> dict:
+def _load_config() -> dict:
+    """Flag dest -> value from the MAJMETER_CONFIG file ({} when unset)."""
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
@@ -114,7 +140,21 @@ def _load_config_defaults() -> dict:
             f"{CONFIG_ENV}={path}: unknown key(s) {', '.join(unknown)}; "
             f"known keys are {', '.join(_CONFIG_KEYS)}"
         )
-    return {_CONFIG_KEYS[k]: v for k, v in raw.items()}
+    config = {}
+    for key, value in raw.items():
+        dest, default = _CONFIG_KEYS[key]
+        kind = type(default)
+        try:
+            if isinstance(value, str):  # read as on the command line
+                value = kind(value)
+            elif isinstance(value, bool) or not isinstance(value, (int, kind)):
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"{CONFIG_ENV}={path}: {key} must be {kind.__name__}, got {value!r}"
+            ) from None
+        config[dest] = value
+    return config
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -130,14 +170,20 @@ def _omega_from_json(text: str) -> ThomaParam:
     return ThomaParam.from_json(json.loads(text))
 
 
+def _d_kol(poly):
+    """Kolmogorov distance to the normal law, or None for a single-point law
+    (nothing to standardise)."""
+    try:
+        return exact_dist.kolmogorov_distance_to_normal(poly)
+    except DegenerateDistribution:
+        return None
+
+
 def cmd_dist(args) -> int:
     lam = parse_partition(args.partition, strict=args.strict)
     poly = exact_dist.maj_polynomial(lam, exact_cap=args.exact_cap)
     lo, hi = exact_dist.range_maj(lam)
-    try:
-        d_kol = exact_dist.kolmogorov_distance_to_normal(poly)
-    except DegenerateDistribution:
-        d_kol = None  # single-point law, nothing to standardise
+    d_kol = _d_kol(poly)
     payload = {
         "partition": list(lam.rows),
         "offset": poly.offset,
@@ -155,8 +201,6 @@ def cmd_dist(args) -> int:
         for key in ("count", "mean", "variance", "range", "d_kol"):
             if key == "range":
                 lines.append(f"# range={lo}:{hi}")
-            elif payload[key] is None:
-                lines.append(f"# {key}=")
             else:
                 lines.append(f"# {key}={_fmt(payload[key])}")
         lines.append("maj,count")
@@ -198,7 +242,7 @@ def cmd_sample(args) -> int:
 
 def cmd_ld(args) -> int:
     build, limit_omega = families.family(args.family)
-    if args.omega:
+    if args.omega is not None:
         limit_omega = _omega_from_json(args.omega)
     mu_limit = measure_of(limit_omega)
     y = Fraction(args.y)
@@ -237,8 +281,7 @@ def cmd_bkol(args) -> int:
         lam = build(n)
         bound, ok = asymptotics.berry_esseen_bound(lam)
         poly = exact_dist.maj_polynomial(lam, exact_cap=args.exact_cap)
-        dist = exact_dist.kolmogorov_distance_to_normal(poly)
-        lines.append(f"{n},{_fmt(dist)},{_fmt(bound)},{str(ok).lower()}")
+        lines.append(f"{n},{_fmt(_d_kol(poly))},{_fmt(bound)},{str(ok).lower()}")
     _write(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -328,72 +371,72 @@ def cmd_validate(args) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it reads no environment."""
     parser = argparse.ArgumentParser(
         prog="majmeter",
         description="Exact and asymptotic statistics of the major index of "
         "uniform random standard Young tableaux.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", help="write to this path instead of stdout")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--quad-nodes", type=int, default=64)
-    common.add_argument("--quad-tol", type=float, default=1e-12)
-    common.add_argument("--quad-max-doublings", type=int, default=4)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--exact-cap", type=int, default=exact_dist.BIGINT_CAP)
-    common.add_argument("--strict", action="store_true",
-                        help="reject partitions that are not sorted")
-    defaults = _load_config_defaults()
-    if defaults:
-        common.set_defaults(**defaults)
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dist", parents=[common], help="exact maj distribution")
-    p.add_argument("-p", "--partition", required=True)
-    p.set_defaults(func=cmd_dist)
+    def command(name: str, shared: tuple[str, ...], help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for flag in ("--output", *shared):
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("cumulants", parents=[common], help="exact and predicted cumulants")
+    p = command("dist", ("--format", "--exact-cap", "--strict"), "exact maj distribution")
+    p.add_argument("-p", "--partition", required=True)
+
+    p = command("cumulants", ("--strict",), "exact and predicted cumulants")
     p.add_argument("-p", "--partition", required=True)
     p.add_argument("--max-order", type=int, default=6)
-    p.set_defaults(func=cmd_cumulants)
 
-    p = sub.add_parser("sample", parents=[common], help="hook-walk Monte Carlo histogram")
+    p = command("sample", ("--strict", "--seed"), "hook-walk Monte Carlo histogram")
     p.add_argument("-p", "--partition", required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("ld", parents=[common], help="large-deviation sweep over n")
+    p = command("ld", (*_QUAD_FLAGS, "--exact-cap"), "large-deviation sweep over n")
     p.add_argument("--family", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--n", required=True, help="comma-separated sizes")
     p.add_argument("--side", choices=("upper", "lower"), default="upper")
     p.add_argument("--omega", help="JSON Thoma parameter overriding the family limit")
-    p.set_defaults(func=cmd_ld)
 
-    p = sub.add_parser("bkol", parents=[common], help="Kolmogorov distance sweep")
+    p = command("bkol", ("--exact-cap",), "Kolmogorov distance sweep")
     p.add_argument("--family", required=True)
     p.add_argument("--n", required=True, help="comma-separated sizes")
-    p.set_defaults(func=cmd_bkol)
 
-    p = sub.add_parser("bochner", parents=[common], help="nonnegative-definiteness probe")
+    p = command("bochner", _QUAD_FLAGS, "nonnegative-definiteness probe")
     p.add_argument("--omega", required=True, help="JSON Thoma parameter")
     p.add_argument("--xis", required=True, help="comma-separated frequencies")
-    p.set_defaults(func=cmd_bochner)
 
-    p = sub.add_parser("validate", parents=[common], help="identity cross-checks")
+    p = command("validate", (), "identity cross-checks")
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_validate)
 
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse argv, then fill each settable flag the command line left out
+    from MAJMETER_CONFIG or, failing that, its built-in default."""
+    args = build_parser().parse_args(argv)
+    config = _load_config()
+    for dest, default in _CONFIG_KEYS.values():
+        if dest in vars(args) and getattr(args, dest) is None:
+            setattr(args, dest, config.get(dest, default))
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = parse_args(argv)
+        # looked up by name at call time, so that a wrapper installed on a
+        # cmd_* function after the parser was built still runs
+        return globals()[f"cmd_{args.command}"](args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

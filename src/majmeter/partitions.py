@@ -207,7 +207,7 @@ class ThomaParam:
     def __post_init__(self):
         for name, seq in (("alpha", self.alpha), ("beta", self.beta)):
             for v in seq:
-                if v < 0 or v > 1:
+                if not 0 <= v <= 1:  # NaN fails too
                     raise InvalidSimplexPoint(f"{name} entries must lie in [0, 1]")
             if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
                 raise InvalidSimplexPoint(f"{name} must be nonincreasing")
@@ -222,14 +222,30 @@ class ThomaParam:
 
     @classmethod
     def from_json(cls, obj) -> "ThomaParam":
-        """Build from {"alpha": [...], "beta": [...]}; entries may be numbers or "p/q"."""
-        def coerce(v):
-            return Fraction(v) if isinstance(v, str) else v
+        """Build from a JSON object {"alpha": [...], "beta": [...]}, either key
+        optional and no other; entries are numbers or "p/q" strings. Any
+        other shape raises InvalidSimplexPoint."""
+        if not isinstance(obj, dict) or not set(obj) <= {"alpha", "beta"}:
+            raise InvalidSimplexPoint(
+                f'expected an object with only the keys "alpha" and "beta", got {obj!r}')
 
-        return cls(
-            tuple(coerce(v) for v in obj.get("alpha", ())),
-            tuple(coerce(v) for v in obj.get("beta", ())),
-        )
+        def entries(name):
+            seq = obj.get(name, [])
+            if not isinstance(seq, list):
+                raise InvalidSimplexPoint(f"{name} must be a list, got {seq!r}")
+            return tuple(entry(name, v) for v in seq)
+
+        def entry(name, v):
+            if isinstance(v, str):
+                try:
+                    return Fraction(v)
+                except (ValueError, ZeroDivisionError):
+                    pass
+            elif isinstance(v, (int, float)) and not isinstance(v, bool):
+                return v
+            raise InvalidSimplexPoint(f"{name} entries must be numbers or \"p/q\", got {v!r}")
+
+        return cls(entries("alpha"), entries("beta"))
 
     def to_json(self) -> dict:
         return {

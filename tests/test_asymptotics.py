@@ -414,6 +414,13 @@ class TestLegendre:
         assert 0 < h < 1e-3
         assert 0 < rate < 1e-8
 
+    def test_tiny_target_meets_the_relative_residual(self):
+        # an absolute 1e-12 residual would stop at h = 0 before any step
+        y = 1e-20
+        h, rate = legendre_star(HALF_HALF, y)
+        assert h > 0 and rate >= 0
+        assert abs(float(asymptotics._lambda_deriv(HALF_HALF, h, 1, asymptotics.DEFAULT_QUAD)) - y) <= 1e-12 * y
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             legendre_star(HALF_HALF, 0.2)  # limit is 1/8
@@ -476,6 +483,22 @@ class TestLDEstimate:
         b = ld_estimate(mu_n, HALF_HALF, 0.02, 20, use_limit_prefactor=False)
         assert a.rate == b.rate
         assert a.h != b.h
+
+    def test_finite_n_prefactor_conjugates_once(self, monkeypatch):
+        mu_n = measure_of(thoma_embed(Partition((10, 10))))
+        real = asymptotics.legendre_star
+        calls = []
+
+        def counted(mu, y, quad=None):
+            calls.append(mu)
+            return real(mu, y, quad)
+
+        monkeypatch.setattr(asymptotics, "legendre_star", counted)
+        ld_estimate(mu_n, HALF_HALF, 0.02, 20, use_limit_prefactor=False)
+        assert calls == [mu_n]
+        calls.clear()
+        ld_estimate(mu_n, HALF_HALF, 0.02, 20, use_limit_prefactor=True)
+        assert calls == [mu_n, HALF_HALF]
 
     def test_serialisation(self):
         report = ld_estimate(HALF_HALF, HALF_HALF, 0.02, 40)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from majmeter import asymptotics
-from majmeter.cli import build_parser, main
+from majmeter.cli import build_parser, main, parse_args
 from majmeter.families import family, staircase, three_row, two_row
 from majmeter.partitions import Partition
 
@@ -14,6 +14,54 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# valid JSON of the wrong shape, unknown keys, entries that are not numbers
+# or "p/q", and text that is not JSON
+MALFORMED_OMEGAS = [
+    "[]", "5", "null", '{"alpha":5}', '{"alpha":[null]}', '{"alpha":[[0.5]]}',
+    '{"alpha":["1/0"]}', '{"alpha":[0.5],"gamma":1}', '{"alpha":[true]}',
+    '{"alpha":[NaN]}', "", "{not json",
+]
+
+
+LD = ["ld", "--family", "two-row", "--y", "0.02", "--n", "20"]
+BOCHNER = ["bochner", "--omega", '{"alpha":[],"beta":[]}', "--xis", "0,3"]
+SAMPLE = ["sample", "-p", "2,1", "--trials", "10"]
+BASE_ARGV = {
+    "dist": ["dist", "-p", "2,1"],
+    "cumulants": ["cumulants", "-p", "2,1"],
+    "sample": SAMPLE,
+    "ld": LD,
+    "bkol": ["bkol", "--family", "two-row", "--n", "8"],
+    "bochner": BOCHNER,
+    "validate": ["validate", "--max-n", "3"],
+}
+QUAD = ("--quad-nodes", "--quad-tol", "--quad-max-doublings")
+# the shared flags each subcommand reads, and nothing else
+SHARED_FLAGS = {
+    "dist": ("--output", "--format", "--exact-cap", "--strict"),
+    "cumulants": ("--output", "--strict"),
+    "sample": ("--output", "--strict", "--seed"),
+    "ld": ("--output", *QUAD, "--exact-cap"),
+    "bkol": ("--output", "--exact-cap"),
+    "bochner": ("--output", *QUAD),
+    "validate": ("--output",),
+}
+# flag -> (argv tail, parsed attribute, parsed value)
+FLAG_VALUES = {
+    "--output": (["--output", "out.txt"], "output", "out.txt"),
+    "--format": (["--format", "json"], "format", "json"),
+    "--quad-nodes": (["--quad-nodes", "96"], "quad_nodes", 96),
+    "--quad-tol": (["--quad-tol", "1e-10"], "quad_tol", 1e-10),
+    "--quad-max-doublings": (["--quad-max-doublings", "5"], "quad_max_doublings", 5),
+    "--seed": (["--seed", "5"], "seed", 5),
+    "--exact-cap": (["--exact-cap", "100"], "exact_cap", 100),
+    "--strict": (["--strict"], "strict", True),
+}
+KEPT = [(cmd, flag) for cmd, flags in SHARED_FLAGS.items() for flag in flags]
+REMOVED = [(cmd, flag) for cmd in SHARED_FLAGS for flag in FLAG_VALUES
+           if flag not in SHARED_FLAGS[cmd]]
 
 
 class TestFamilies:
@@ -145,6 +193,20 @@ class TestLd:
         assert err.startswith("error:") and "did not converge" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("y", ["1e-20", "1e-300"])
+    def test_tiny_deviation(self, capsys, y):
+        code, out, err = run(capsys, "ld", "--family", "two-row", "--y", y, "--n", "20")
+        assert code == 0 and err == ""
+        assert float(out.splitlines()[1].split(",")[2]) > 0
+
+    @pytest.mark.parametrize("omega", MALFORMED_OMEGAS)
+    def test_malformed_omega_is_a_usage_error(self, capsys, omega):
+        code, out, err = run(
+            capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "20", "--omega", omega
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_beyond_exact_cap_leaves_blanks(self, capsys):
         code, out, _ = run(
             capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "20",
@@ -170,6 +232,14 @@ class TestBkol:
         code, out, _ = run(capsys, "bkol", "--family", "staircase", "--n", "3")
         assert code == 0
         assert out.splitlines()[1].endswith("false")  # (2,1) fails n >= 4
+
+    @pytest.mark.parametrize("family, n", [("two-row", "1"), ("staircase", "2")])
+    def test_one_point_law_leaves_d_kol_blank(self, capsys, family, n):
+        code, out, err = run(capsys, "bkol", "--family", family, "--n", f"{n},8")
+        assert code == 0 and err == ""
+        single, other = (line.split(",") for line in out.splitlines()[1:])
+        assert single[0] == n and single[1] == "" and single[3] == "false"
+        assert float(other[1]) > 0
 
 
 class TestBochner:
@@ -216,6 +286,12 @@ class TestBochner:
         assert code == 0
         assert abs(json.loads(out)["min_eigenvalue"]) < 1e-12
 
+    @pytest.mark.parametrize("omega", MALFORMED_OMEGAS)
+    def test_malformed_omega_is_a_usage_error(self, capsys, omega):
+        code, out, err = run(capsys, "bochner", "--xis", "0,3", "--omega", omega)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestValidate:
     def test_all_pass(self, capsys):
@@ -241,17 +317,51 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"quad.nodes": 96, "quad.rel_tol": 1e-10, "seed": 5}))
         monkeypatch.setenv("MAJMETER_CONFIG", str(cfg))
-        args = build_parser().parse_args(["dist", "-p", "2,1"])
-        assert args.quad_nodes == 96
-        assert args.quad_tol == 1e-10
-        assert args.seed == 5
+        for argv in (LD, BOCHNER):
+            args = parse_args(argv)
+            assert args.quad_nodes == 96
+            assert args.quad_tol == 1e-10
+            assert args.quad_max_doublings == 4
+        assert parse_args(SAMPLE).seed == 5
 
     def test_flag_beats_config(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"quad.nodes": 96}))
+        cfg.write_text(json.dumps({"quad.nodes": 96, "seed": 5}))
         monkeypatch.setenv("MAJMETER_CONFIG", str(cfg))
-        args = build_parser().parse_args(["dist", "-p", "2,1", "--quad-nodes", "32"])
-        assert args.quad_nodes == 32
+        assert parse_args([*LD, "--quad-nodes", "32"]).quad_nodes == 32
+        assert parse_args([*BOCHNER, "--quad-nodes", "32"]).quad_nodes == 32
+        assert parse_args([*SAMPLE, "--seed", "9"]).seed == 9
+
+    def test_builtin_defaults_without_config(self, monkeypatch):
+        monkeypatch.delenv("MAJMETER_CONFIG", raising=False)
+        args = parse_args(LD)
+        assert (args.quad_nodes, args.quad_tol, args.quad_max_doublings) == (64, 1e-12, 4)
+        assert args.exact_cap == 300
+        assert parse_args(SAMPLE).seed == 0
+
+    def test_keys_for_absent_flags_are_ignored(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("MAJMETER_CONFIG", raising=False)
+        _, plain, _ = run(capsys, "dist", "-p", "3,1")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quad.nodes": 96, "seed": 5}))
+        monkeypatch.setenv("MAJMETER_CONFIG", str(cfg))
+        code, out, err = run(capsys, "dist", "-p", "3,1")
+        assert code == 0 and out == plain and err == ""
+        assert not hasattr(parse_args(["dist", "-p", "3,1"]), "seed")
+
+    def test_each_call_reads_the_current_file(self, capsys, tmp_path, monkeypatch):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps({"seed": 5}))
+        second.write_text(json.dumps({"seed": 9}))
+        monkeypatch.setenv("MAJMETER_CONFIG", str(first))
+        _, out, _ = run(capsys, *SAMPLE)
+        assert "# seed=5" in out.splitlines()
+        monkeypatch.setenv("MAJMETER_CONFIG", str(second))
+        _, out, _ = run(capsys, *SAMPLE)
+        assert "# seed=9" in out.splitlines()
+        monkeypatch.delenv("MAJMETER_CONFIG")
+        _, out, _ = run(capsys, *SAMPLE)
+        assert "# seed=0" in out.splitlines()
 
     @pytest.mark.parametrize(
         "text, needle",
@@ -269,12 +379,71 @@ class TestConfig:
         assert code == 2 and out == ""
         assert err.startswith("error:") and needle in err
 
+    def test_string_values_parse_as_flags(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quad.nodes": "96", "quad.rel_tol": "1e-10"}))
+        monkeypatch.setenv("MAJMETER_CONFIG", str(cfg))
+        args = parse_args(LD)
+        assert args.quad_nodes == 96 and args.quad_tol == 1e-10
+
+    @pytest.mark.parametrize(
+        "text", ['{"quad.nodes": "abc"}', '{"quad.nodes": [1]}', '{"quad.nodes": 96.5}',
+                 '{"seed": null}', '{"exact_cap": true}'],
+    )
+    def test_bad_value_is_a_usage_error(self, capsys, tmp_path, monkeypatch, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        monkeypatch.setenv("MAJMETER_CONFIG", str(cfg))
+        code, out, err = run(capsys, *LD)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and next(iter(json.loads(text))) in err
+
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
         missing = tmp_path / "absent.json"
         monkeypatch.setenv("MAJMETER_CONFIG", str(missing))
         code, _, err = run(capsys, "dist", "-p", "2,1")
         assert code == 2
         assert err.startswith("error:") and str(missing) in err
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reads_no_environment(self, tmp_path, monkeypatch):
+        # a fresh build succeeds with a config path that does not exist, and
+        # leaves the settable flags unset until parse_args fills them
+        monkeypatch.setenv("MAJMETER_CONFIG", str(tmp_path / "absent.json"))
+        args = build_parser.__wrapped__().parse_args(LD)
+        assert args.quad_nodes is None and args.exact_cap is None
+
+    def test_shared_flag_slots(self):
+        assert len(KEPT) == 21 and len(REMOVED) == 35
+
+    @pytest.mark.parametrize("command, flag", KEPT)
+    def test_kept_flag_is_accepted(self, command, flag):
+        tail, attr, value = FLAG_VALUES[flag]
+        assert getattr(parse_args([*BASE_ARGV[command], *tail]), attr) == value
+
+    @pytest.mark.parametrize("command, flag", REMOVED)
+    def test_removed_flag_is_a_usage_error(self, capsys, command, flag):
+        tail, _, _ = FLAG_VALUES[flag]
+        with pytest.raises(SystemExit) as exc:
+            main([*BASE_ARGV[command], *tail])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(tail)}" in err
+        assert "Traceback" not in err
+
+    def test_removed_flag_exits_2_from_the_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "majmeter.cli", *LD, "--format", "json"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "unrecognized arguments: --format json" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_module_entry_point():

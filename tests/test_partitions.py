@@ -255,6 +255,19 @@ class TestThomaEmbedding:
         assert omega.alpha == (Fraction(1, 2), Fraction(1, 4))
         assert omega.to_json() == {"alpha": [0.5, 0.25], "beta": [0.25]}
 
+    @pytest.mark.parametrize("obj", [
+        [], 5, None, {"alpha": 5}, {"alpha": [None]}, {"alpha": [[0.5]]},
+        {"alpha": ["1/0"]}, {"alpha": ["half"]}, {"alpha": [True]},
+        {"alpha": [float("nan")]}, {"alpha": [0.5], "gamma": 1},
+    ])
+    def test_json_shape_is_checked(self, obj):
+        with pytest.raises(InvalidSimplexPoint):
+            ThomaParam.from_json(obj)
+
+    def test_json_keys_are_optional(self):
+        assert ThomaParam.from_json({}) == ThomaParam((), ())
+        assert ThomaParam.from_json({"beta": [1]}).beta == (1,)
+
 
 class TestDiscreteMeasure:
     def test_delta_zero(self):
