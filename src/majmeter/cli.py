@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -42,6 +44,7 @@ from .partitions import (
     Partition,
     ThomaParam,
     conjugate,
+    hook_multiset_identity,
     measure_of,
     parse_partition,
     partitions_of,
@@ -261,10 +264,9 @@ def cmd_ld(args) -> int:
             mean = exact_dist.mean_maj(lam)
             if args.side == "upper":
                 threshold = math.ceil(mean + y * n * n)
-                tail = exact_dist.tail_probability(poly, threshold, "upper")
             else:
                 threshold = math.floor(mean - y * n * n)
-                tail = exact_dist.tail_probability(poly, threshold, "lower")
+            tail = exact_dist.tail_probability(poly, threshold, args.side)
             exact_text = _fmt(float(tail))
             ratio_text = _fmt(float(tail) / report.estimate)
         lines.append(
@@ -295,80 +297,63 @@ def cmd_bochner(args) -> int:
     return EXIT_OK
 
 
-def _validate_identities(max_n: int, inject_fault: bool):
-    """Yield (identity name, first counterexample or None, partitions seen)."""
-    from itertools import permutations
-
-    from .partitions import hook_multiset_identity
-    from .tableaux import descent_set, maj_multiset, perm_descents, rsk
-
-    checked = 0
-    first_fail: dict[str, object] = {}
-
-    def note(name, lam, ok):
-        if not ok and name not in first_fail:
-            first_fail[name] = lam
-
+def _laws(max_n: int):
+    """(partition, (partition, maj polynomial, moment-route cumulants 1..6))
+    for each partition of 1..max_n, so that every check shares one law."""
     for n in range(1, max_n + 1):
         for lam in partitions_of(n):
-            checked += 1
-            left, right = hook_multiset_identity(lam, n)
-            note("hook-content-multiset", lam, left == right)
             poly = exact_dist.maj_polynomial(lam)
-            histogram = {poly.offset + i: c for i, c in enumerate(poly.coeffs) if c}
-            if inject_fault and lam.rows == (2, 1):
-                histogram[poly.offset] = histogram.get(poly.offset, 0) + 1
-            note("polynomial-vs-enumeration", lam, histogram == maj_multiset(lam))
-            note(
-                "cumulant-two-routes",
-                lam,
-                all(
-                    exact_dist.exact_cumulant(lam, r)
-                    == exact_dist.cumulant_from_polynomial(poly, r)
-                    for r in range(2, 7)
-                ),
-            )
-            note("mean-closed-form", lam,
-                 exact_dist.mean_maj(lam) == exact_dist.cumulant_from_polynomial(poly, 1))
-            note("variance-closed-form", lam,
-                 exact_dist.var_maj(lam) == exact_dist.exact_cumulant(lam, 2))
-            note("range-vs-support", lam, exact_dist.range_maj(lam) == poly.support())
+            yield lam, (lam, poly, exact_dist.cumulants_from_polynomial(poly, 6))
 
-    for n in range(1, 6):
-        for images in permutations(range(1, n + 1)):
-            p, q = rsk(images)
-            note("rsk-descent-preservation", images,
-                 perm_descents(images) == descent_set(q) and p.shape == q.shape)
 
-    for name in (
-        "hook-content-multiset",
-        "polynomial-vs-enumeration",
-        "cumulant-two-routes",
-        "mean-closed-form",
-        "variance-closed-form",
-        "range-vs-support",
-        "rsk-descent-preservation",
-    ):
-        yield name, first_fail.get(name), checked
+def _permutations(max_n: int):
+    """(permutation, (permutation,)) for each permutation of 1..5, whatever max_n."""
+    return [(p, (p,)) for n in range(1, 6) for p in itertools.permutations(range(1, n + 1))]
+
+
+def _rsk_keeps_descents(images) -> bool:
+    p, q = tableaux.rsk(images)
+    return tableaux.perm_descents(images) == tableaux.descent_set(q) and p.shape == q.shape
+
+
+# (identity name, cases, check) in output order. Module functions are looked
+# up at call time, so a test can replace one.
+_IDENTITIES = (
+    ("hook-content-multiset", _laws,
+     lambda lam, poly, kappa: operator.eq(*hook_multiset_identity(lam, lam.n))),
+    ("polynomial-vs-enumeration", _laws,
+     lambda lam, poly, kappa: tableaux.maj_multiset(lam)
+     == {poly.offset + i: c for i, c in enumerate(poly.coeffs) if c}),
+    ("cumulant-two-routes", _laws,
+     lambda lam, poly, kappa: all(
+         exact_dist.exact_cumulant(lam, r) == kappa[r - 1] for r in range(2, 7))),
+    ("mean-closed-form", _laws, lambda lam, poly, kappa: exact_dist.mean_maj(lam) == kappa[0]),
+    ("variance-closed-form", _laws,
+     lambda lam, poly, kappa: exact_dist.var_maj(lam) == exact_dist.exact_cumulant(lam, 2)),
+    ("range-vs-support", _laws,
+     lambda lam, poly, kappa: exact_dist.range_maj(lam) == poly.support()),
+    ("rsk-descent-preservation", _permutations, _rsk_keeps_descents),
+)
 
 
 def cmd_validate(args) -> int:
-    if args.max_n > 12:
-        raise ValueError("validate sweeps are capped at max_n = 12")
-    lines = []
-    failures = 0
-    checked = 0
-    for name, counterexample, count in _validate_identities(args.max_n, args.inject_fault):
-        checked = max(checked, count)
-        if counterexample is None:
-            lines.append(f"{name}: PASS")
-        else:
-            failures += 1
-            lines.append(f"{name}: FAIL at {counterexample!r}")
-    lines.append(f"partitions checked: {checked}")
-    lines.append(f"failures: {failures}")
+    if not 1 <= args.max_n <= 12:
+        raise ValueError(f"validate sweeps need 1 <= max_n <= 12, got {args.max_n}")
+    cases, first_fail = {}, {}
+    for name, domain, holds in _IDENTITIES:
+        if domain not in cases:
+            cases[domain] = list(domain(args.max_n))
+        for label, case in cases[domain]:
+            if not holds(*case):
+                first_fail.setdefault(name, label)
+    lines = [
+        f"{name}: FAIL at {first_fail[name]!r}" if name in first_fail else f"{name}: PASS"
+        for name, _, _ in _IDENTITIES
+    ]
+    lines.append(f"partitions checked: {len(cases[_laws])}")
+    lines.append(f"failures: {len(first_fail)}")
     _write(args, "\n".join(lines) + "\n")
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if not first_fail else 1
 
 
 @functools.cache
@@ -415,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("validate", (), "identity cross-checks")
     p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     return parser
 

@@ -18,6 +18,7 @@ from .errors import (
     DegenerateDistribution,
     EmptyPartition,
     OddOrder,
+    OutOfRange,
 )
 from .partitions import (
     Partition,
@@ -261,8 +262,8 @@ def exact_cumulant(lam: Partition, r: int) -> Fraction:
     return bernoulli(r) / r * power_gap
 
 
-def cumulant_from_polynomial(poly: QPolynomial, r: int) -> Fraction:
-    """Moment-route cumulant through the recursion
+def cumulants_from_polynomial(poly: QPolynomial, r: int) -> tuple[Fraction, ...]:
+    """Moment-route cumulants (kappa_1, ..., kappa_r) through the recursion
     kappa_s = m_s - sum_{j<s} C(s-1, j-1) kappa_j m_{s-j} on the raw moments."""
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -274,7 +275,12 @@ def cumulant_from_polynomial(poly: QPolynomial, r: int) -> Fraction:
         kappa[s] = moments[s] - sum(
             math.comb(s - 1, j - 1) * kappa[j] * moments[s - j] for j in range(1, s)
         )
-    return kappa[r]
+    return tuple(kappa[1:])
+
+
+def cumulant_from_polynomial(poly: QPolynomial, r: int) -> Fraction:
+    """The r-th moment-route cumulant: the last of cumulants_from_polynomial."""
+    return cumulants_from_polynomial(poly, r)[-1]
 
 
 def mean_maj(lam: Partition) -> Fraction:
@@ -350,19 +356,20 @@ def predicted_cumulant_exact(lam: Partition, r: int) -> Fraction:
 
 
 def predicted_cumulant(lam: Partition, r: int) -> float:
-    return float(predicted_cumulant_exact(lam, r))
+    """predicted_cumulant_exact as a float; OutOfRange beyond float range."""
+    try:
+        return float(predicted_cumulant_exact(lam, r))
+    except OverflowError:
+        raise OutOfRange(f"the predicted cumulant of order {r} exceeds float range") from None
 
 
 def tail_probability(poly: QPolynomial, threshold: int, side: str = "upper") -> Fraction:
     """Exact mass at or beyond the threshold, normalised by the total count."""
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
-    total = 0
-    for i, c in enumerate(poly.coeffs):
-        m = poly.offset + i
-        if (side == "upper" and m >= threshold) or (side == "lower" and m <= threshold):
-            total += c
-    return Fraction(total, poly.at_one())
+    at = threshold - poly.offset  # index of the threshold exponent
+    tail = poly.coeffs[max(at, 0):] if side == "upper" else poly.coeffs[:max(at + 1, 0)]
+    return Fraction(sum(tail), poly.at_one())
 
 
 def kolmogorov_distance_to_normal(poly: QPolynomial) -> float:

@@ -1,5 +1,7 @@
 import cmath
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +61,20 @@ complex_in_half_domain = st.builds(
 ).filter(lambda z: not (z.real == 0 and abs(z.imag) >= math.pi))
 
 
+def _log_sinhc_reference(x: float, imaginary: bool) -> float:
+    """log(sinh(x/2) / (x/2)), or log(sin(x/2) / (x/2)) for phi(ix), from
+    the power series of sinh or sin at 40 digits."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        half = Decimal(x) / 2
+        term = total = Decimal(1)
+        k = 1
+        while abs(term) > Decimal(10) ** -45:
+            term *= (-1 if imaginary else 1) * half * half / ((2 * k) * (2 * k + 1))
+            total += term
+            k += 1
+        return float(total.ln())
+
+
 class TestKernel:
     def test_zero(self):
         assert phi(0) == 0
@@ -98,6 +114,13 @@ class TestKernel:
             z = complex(z)
             direct = 0.5 * z + cmath.log(1 - cmath.exp(-z)) - cmath.log(z)
             assert abs(phi(z) - direct) < 1e-12
+
+    def test_series_against_a_40_digit_reference(self):
+        # below the |z| = 1/4 switch, where the closed form cancels
+        for x in [*np.geomspace(1e-3, 0.2499, 60), 1.0001e-3]:
+            for z, imaginary in ((x, False), (1j * x, True)):
+                want = _log_sinhc_reference(x, imaginary)
+                assert abs(phi(z).real - want) <= 1e-15 * abs(want)
 
     def test_cut_raises(self):
         for z in (2j * math.pi, 7j, -6.3j):
@@ -297,6 +320,25 @@ class TestQuadratureConfig:
             QuadratureConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_doublings=0)  # convergence compares two passes
+
+    @pytest.mark.parametrize("settings", [
+        {"nodes": asymptotics.MAX_QUAD_NODES + 1}, {"rel_tol": math.nan}, {"rel_tol": math.inf},
+    ])
+    def test_node_ceiling_and_finite_tolerance(self, settings):
+        with pytest.raises(ValueError):
+            QuadratureConfig(**settings)
+
+    def test_doubling_stops_at_the_node_ceiling(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "MAX_QUAD_NODES", 128)
+        passes = []
+
+        def oscillating(t):
+            passes.append(len(t))
+            return np.cos(500.0 * t)
+
+        with pytest.raises(QuadratureError, match="128 nodes"):
+            asymptotics._integrate_unit(oscillating, QuadratureConfig(nodes=64, max_doublings=8))
+        assert passes == [64, 128]
 
 
 class TestLambdaDerivatives:
@@ -680,6 +722,11 @@ class TestBochner:
         for i in range(3):
             for j in range(3):
                 assert matrix[i][j] == matrix[j][i]
+
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_rejected(self, xi):
+        with pytest.raises(ValueError, match=f"frequency {xi}"):
+            bochner_check(DELTA_ZERO, (0.0, xi))
 
 
 class TestEdgeworth:

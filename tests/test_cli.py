@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from majmeter import asymptotics
+from majmeter import asymptotics, tableaux
 from majmeter.cli import build_parser, main, parse_args
 from majmeter.families import family, staircase, three_row, two_row
 from majmeter.partitions import Partition
@@ -130,6 +130,13 @@ class TestDist:
         assert main(["dist", "-p", "6,4,2,1", "--output", str(a)]) == 0
         assert main(["dist", "-p", "6,4,2,1", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCumulants:
+    def test_prediction_beyond_float_range_exits_4(self, capsys):
+        code, out, err = run(capsys, "cumulants", "-p", "3,2", "--max-order", "200")
+        assert code == 4 and out == ""
+        assert "order 180" in err and "Traceback" not in err
 
 
 class TestSample:
@@ -292,6 +299,20 @@ class TestBochner:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("tail, needle", [
+        (["--xis", "0,nan"], "frequency nan"),
+        (["--xis", "0,inf"], "frequency inf"),
+        (["--xis", "0,-inf"], "frequency -inf"),
+        (["--xis", "0,3", "--quad-tol", "nan"], "got nan"),
+        (["--xis", "0,3", "--quad-tol", "inf"], "got inf"),
+        (["--xis", "0,3", "--quad-nodes", "100000"], "got 100000"),
+    ])
+    def test_non_finite_or_oversized_input_is_a_usage_error(self, capsys, recwarn, tail, needle):
+        code, out, err = run(capsys, "bochner", "--omega", '{"alpha":[],"beta":[]}', *tail)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and needle in err and "Traceback" not in err
+        assert not recwarn.list
+
 
 class TestValidate:
     def test_all_pass(self, capsys):
@@ -305,11 +326,32 @@ class TestValidate:
         assert code == 0
         assert "partitions checked: 66" in out  # sum of p(1..8)
 
-    def test_fault_injection(self, capsys):
-        code, out, _ = run(capsys, "validate", "--max-n", "4", "--inject-fault")
+    def test_fault_injection(self, capsys, monkeypatch):
+        enumerate_maj = tableaux.maj_multiset
+
+        def faulty(lam, *rest):
+            counts = enumerate_maj(lam, *rest)
+            if lam.rows == (2, 1):
+                counts[min(counts)] += 1
+            return counts
+
+        monkeypatch.setattr(tableaux, "maj_multiset", faulty)
+        code, out, _ = run(capsys, "validate", "--max-n", "4")
         assert code != 0
         assert "polynomial-vs-enumeration: FAIL" in out
         assert "Partition(2, 1)" in out
+
+    @pytest.mark.parametrize("max_n", ["0", "-1", "13"])
+    def test_max_n_out_of_range(self, capsys, max_n):
+        code, out, err = run(capsys, "validate", "--max-n", max_n)
+        assert code == 2 and out == ""
+        assert "max_n" in err and "Traceback" not in err
+
+    def test_no_fault_injection_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--max-n", "4", "--inject-fault"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --inject-fault" in capsys.readouterr().err
 
 
 class TestConfig:

@@ -14,6 +14,7 @@ from majmeter import (
     count_standard_tableaux,
     cumulant_decomposition,
     cumulant_from_polynomial,
+    cumulants_from_polynomial,
     exact_cumulant,
     kolmogorov_distance_to_normal,
     log_laplace_exact,
@@ -22,6 +23,7 @@ from majmeter import (
     maj_polynomial_sn,
     mean_maj,
     partitions_of,
+    predicted_cumulant,
     predicted_cumulant_exact,
     range_maj,
     tail_probability,
@@ -32,6 +34,7 @@ from majmeter.errors import (
     DegenerateDistribution,
     DomainError,
     OddOrder,
+    OutOfRange,
 )
 from majmeter.exact_dist import _q_ratio
 from majmeter.families import staircase, three_row, two_row
@@ -181,6 +184,12 @@ class TestCumulants:
                 for r in range(2, 7):
                     assert exact_cumulant(lam, r) == cumulant_from_polynomial(poly, r)
 
+    def test_all_orders_in_one_recursion(self):
+        for n in range(1, 9):
+            for lam in partitions_of(n):
+                kappa = cumulants_from_polynomial(maj_polynomial(lam), 7)
+                assert kappa == (mean_maj(lam), *(exact_cumulant(lam, r) for r in range(2, 8)))
+
     def test_low_order_guard(self):
         with pytest.raises(ValueError):
             exact_cumulant(Partition((2, 1)), 1)
@@ -262,6 +271,12 @@ class TestPredictedCumulant:
     def test_odd_orders_predict_zero(self):
         assert predicted_cumulant_exact(Partition((3, 2)), 3) == 0
 
+    def test_beyond_float_range_is_out_of_range(self):
+        lam = Partition((3, 2))
+        assert math.isfinite(predicted_cumulant(lam, 150))
+        with pytest.raises(OutOfRange, match="order 200"):
+            predicted_cumulant(lam, 200)
+
 
 class TestTails:
     def test_two_point(self):
@@ -279,6 +294,16 @@ class TestTails:
     def test_lower(self):
         poly = QPolynomial([1, 1], offset=1)
         assert tail_probability(poly, 1, "lower") == Fraction(1, 2)
+
+    def test_every_threshold_against_a_coefficient_scan(self):
+        poly = maj_polynomial(Partition((4, 2, 2, 1)))
+        lo, hi = poly.support()
+        exponents = range(lo, hi + 1)
+        for threshold in range(lo - 3, hi + 4):
+            upper = sum(c for m, c in zip(exponents, poly.coeffs) if m >= threshold)
+            lower = sum(c for m, c in zip(exponents, poly.coeffs) if m <= threshold)
+            assert tail_probability(poly, threshold, "upper") == Fraction(upper, 216)
+            assert tail_probability(poly, threshold, "lower") == Fraction(lower, 216)
 
 
 class TestKolmogorov:
