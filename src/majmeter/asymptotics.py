@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -33,15 +34,17 @@ TWO_PI = 2.0 * math.pi
 # eigenproblem, 1 s and 94 MiB at n = 2048, 6.7 s and 287 MiB at n = 4096
 MAX_QUAD_NODES = 4096
 
-# Taylor coefficients of the kernel at 0: pairs (r, B_r / (r * r!)) for even r.
-_KERNEL_COEFFS = (
-    (2, 1.0 / 24),
-    (4, -1.0 / 2880),
-    (6, 1.0 / 181440),
-    (8, -1.0 / 9676800),
-    (10, 1.0 / 479001600),
-    (12, -691.0 / 15692092416000),
-)
+# The kernel's Taylor series at 0 is sum over even r of B_r / (r * r!) z^r,
+# kept through z^16 (the first omitted term is below 1e-17 of every order used
+# on |z| < 1/4); _SERIES_DERIVS[k] holds the coefficients of its k-th
+# derivative. They are Python floats: importing numpy.polynomial, or any numpy
+# arithmetic, at start-up raises every process's peak RSS (by ~1 and ~0.2 MiB)
+_BERNOULLI = ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510")
+_SERIES = [0.0] * 17
+_SERIES[2::2] = [float(Fraction(b) / (r * math.factorial(r)))
+                 for r, b in zip(range(2, 17, 2), _BERNOULLI)]
+_SERIES_DERIVS = tuple(
+    tuple(math.perm(r, k) * c for r, c in enumerate(_SERIES) if r >= k) for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,9 @@ class QuadratureConfig:
     rel_tol: float = 1e-12
 
     def __post_init__(self):
-        if not 8 <= self.nodes <= MAX_QUAD_NODES:
-            raise ValueError(f"need 8 to {MAX_QUAD_NODES} quadrature nodes, got {self.nodes}")
+        # a start must leave room for the doubling that convergence needs
+        if not 8 <= self.nodes <= MAX_QUAD_NODES // 2:
+            raise ValueError(f"need 8 to {MAX_QUAD_NODES // 2} quadrature nodes, got {self.nodes}")
         if not 0 < self.rel_tol < math.inf:  # false for NaN too
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.max_doublings < 1:
@@ -124,16 +128,15 @@ def _kernel(z, order: int) -> np.ndarray:
     element by element on an array.
 
     Real input is computed in float64 and complex input in complex128, with
-    the same formulas. phi(z) = z/2 + Log(1 - e^-z) - Log z for Re z > 0
-    (the principal branches stay continuous because |e^-z| < 1), and on the
+    the same formulas. Evenness maps every argument to Re z > 0 or to the
+    upper imaginary axis, odd orders changing sign. There, with e = e^-z and
+    d = 1 - e^-z (neither can overflow), phi(z) = z/2 + Log d - Log z (the
+    principal branches stay continuous because |e^-z| < 1), and on the
     imaginary axis log(sin(xi/2) / (xi/2)), real for 0 < xi < 2*pi;
-    phi'(z) = coth(z/2)/2 - 1/z, phi''(z) = 1/z^2 - 1/(4 sinh^2(z/2)) and
-    phi'''(z) = -2/z^3 + cosh(z/2) / (4 sinh^3(z/2)). Evenness maps every
-    argument to Re z > 0 or to the upper imaginary axis, odd orders changing
-    sign. Below |z| = 1/4, where the closed forms cancel, every order is the
-    term-by-term derivative of one Taylor series (_KERNEL_COEFFS; its first
-    omitted term is below 1e-17 of the kernel). Where Re z/2 > 350 the
-    hyperbolic terms sit at their limits (sinh^2 would overflow soon after).
+    phi'(z) = (1 + e)/(2d) - 1/z, phi''(z) = 1/z^2 - e/d^2 and
+    phi'''(z) = -2/z^3 + e(1 + e)/d^3. Below |z| = 1/4, where these cancel,
+    every order is the matching derivative of the Taylor series at 0
+    (_SERIES_DERIVS), evaluated by Horner's rule.
     """
     z = np.asarray(z)
     z = z.astype(np.complex128 if z.dtype.kind == "c" else np.float64, copy=False)
@@ -142,13 +145,7 @@ def _kernel(z, order: int) -> np.ndarray:
     z = z.ravel()
     out = np.empty_like(z)
     small = np.abs(z) < 0.25
-    if small.any():
-        s = z[small]
-        total = np.zeros_like(s)
-        for r, c in _KERNEL_COEFFS:
-            if r >= order:  # a vanishing term, not 0 * s**-1 = NaN at s = 0
-                total += math.perm(r, order) * c * s ** (r - order)
-        out[small] = total
+    out[small] = np.polynomial.polynomial.polyval(z[small], _SERIES_DERIVS[order])
     big = ~small
     if not big.any():
         return out.reshape(shape)
@@ -165,19 +162,13 @@ def _kernel(z, order: int) -> np.ndarray:
         ar = a[rest]
         value[rest] = 0.5 * ar + np.log(-np.expm1(-ar)) - np.log(ar)
     else:
-        w = 0.5 * a
-        # coth and 1/sinh^2 of w, at their limits 1 and 0 where sinh overflows
-        coth, csch2 = np.ones_like(a), np.zeros_like(a)
-        hyp = w.real <= 350.0
-        if hyp.any():
-            s = np.sinh(w[hyp])
-            coth[hyp], csch2[hyp] = np.cosh(w[hyp]) / s, 1.0 / (s * s)
+        e, d = np.exp(-a), -np.expm1(-a)
         if order == 1:
-            value = 0.5 * coth - 1.0 / a
+            value = (1.0 + e) / (2.0 * d) - 1.0 / a
         elif order == 2:
-            value = 1.0 / (a * a) - 0.25 * csch2
+            value = 1.0 / (a * a) - e / (d * d)
         else:
-            value = -2.0 / (a * a * a) + 0.25 * coth * csch2
+            value = -2.0 / (a * a * a) + e * (1.0 + e) / (d * d * d)
         if order % 2:
             value = np.where(flip, -value, value)
     out[big] = value
@@ -208,23 +199,31 @@ def phi_derivs(z):
     return tuple(complex(_kernel(z, k)) for k in (1, 2, 3))
 
 
+def _signed_atoms(mu: DiscreteMeasure) -> np.ndarray:
+    """Locations (row 0) and weights (row 1) of the charged atoms away from
+    x = 0, behind a leading (x, w) = (1, -1) that stands for the term free of x.
+
+    The integrands over the measure have the form sum_atoms w (f(1) - f(x)),
+    as in phi(tz) - phi(txz); since the weights sum to 1, that is minus the
+    sum of w f(x) over these signed atoms. A caller whose f(0) is not 0 adds
+    the atom at x = 0 itself.
+    """
+    return np.array([(1.0, -1.0)] + [(x, w) for x, w in mu.float_atoms() if w > 0 and x != 0]).T
+
+
 def _lambda_deriv(mu: DiscreteMeasure, z, order: int, quad: QuadratureConfig):
     """The order-th z-derivative of lambda_omega (order 0: lambda_omega):
     int_0^1 t^k (phi^(k)(tz) - sum_atoms w x^k phi^(k)(txz)) dt.
 
-    Real z stays on the float64 path. The integrand is evaluated on all
-    quadrature nodes and atoms at once; atoms at x = 0 contribute nothing.
+    Real z stays on the float64 path. The integrand is one kernel call over
+    all quadrature nodes and signed atoms at once; atoms at x = 0 contribute
+    nothing.
     """
-    xs, ws = np.array(
-        [(x, w) for x, w in mu.float_atoms() if w > 0 and x != 0], dtype=float
-    ).reshape(-1, 2).T
-    weights = ws * xs ** order
+    xs, ws = _signed_atoms(mu)
+    weights = -ws * xs ** order
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        tz = t * z
-        values = _kernel(tz, order)
-        if xs.size:
-            values = values - _kernel(np.multiply.outer(tz, xs), order) @ weights
+        values = _kernel(np.multiply.outer(t * z, xs), order) @ weights
         return values if order == 0 else t ** order * values
 
     return _integrate_unit(integrand, quad)
@@ -314,9 +313,8 @@ def psi_omega(mu: DiscreteMeasure, z: complex) -> complex:
     _check_half_domain(z)
     if z == 0:
         return 0j
-    xs, ws = np.array(
-        [(x, w) for x, w in mu.float_atoms() if w != 0], dtype=float
-    ).reshape(-1, 2).T
+    # atoms at x = 0 stay: their pairs with other atoms are not zero here
+    xs, ws = np.array([(x, w) for x, w in mu.float_atoms() if w != 0]).T
     x, y = np.meshgrid(xs, xs, indexing="ij")
     terms = np.multiply.outer(ws, ws) * _psi_pairs(x, y, z)
     # summed row-major, left to right, so the total does not depend on numpy's
@@ -455,17 +453,20 @@ def _oscillatory_log_integral(
     """int_0^1 log(1 + sin^2(t s xi / 2) / sinh^2(t s h / 2)) dt.
 
     The integrand oscillates with t-period 2*pi/(s*xi), so one Gauss panel is
-    used per period; sinh arguments are clipped at 350 to avoid overflow (the
-    ratio is already below 1e-300 there).
+    used per period; past max_panels periods it raises OutOfRange rather than
+    under-resolve. 1/sinh^2(u) is taken as 4 e^-2u / expm1(-2u)^2, which
+    cannot overflow.
     """
-    periods = abs(scale * xi) / TWO_PI
-    panels = min(max_panels, max(1, math.ceil(periods)))
+    panels = max(1, math.ceil(abs(scale * xi) / TWO_PI))
+    if panels > max_panels:
+        raise OutOfRange(
+            f"frequency xi = {xi} needs {panels} oscillation panels, more than {max_panels}")
     ts, ws = _gauss_nodes(nodes)
     offsets = np.arange(panels, dtype=float)[:, None] / panels
     t = (offsets + np.asarray(ts)[None, :] / panels).ravel()
     w = np.tile(np.asarray(ws) / panels, panels)
-    u = np.minimum(t * (scale * h / 2.0), 350.0)
-    ratio = np.sin(t * (scale * xi / 2.0)) ** 2 / np.sinh(u) ** 2
+    v = t * (scale * h)
+    ratio = 4.0 * np.sin(t * (scale * xi / 2.0)) ** 2 * np.exp(-v) / np.expm1(-v) ** 2
     return float(w @ np.log1p(ratio))
 
 
@@ -473,8 +474,10 @@ def mock_fourier(mu: DiscreteMeasure, h: float, xi: float) -> float:
     """Re(lambda(h + i*xi) - lambda(h)), negative for xi != 0.
 
     Evaluated through the real-part identity
-    Re phi(a + ib) - phi(a) = log(1 + sin^2(b/2)/sinh^2(a/2)) / 2, with
-    oscillation-resolving panels so that xi up to ~1e6 stays accurate.
+    Re phi(a + ib) - phi(a) = log(1 + sin^2(b/2)/sinh^2(a/2)) / 2, with one
+    oscillation-resolving panel per period up to |xi| = 200000 * 2*pi, about
+    1.26e6; a larger |xi| raises OutOfRange. An atom at x = 0 contributes
+    its t-free limit log(1 + xi^2/h^2) / 2.
     """
     if h == 0:
         raise DegenerateParameter("tilt h must be nonzero")
@@ -483,17 +486,9 @@ def mock_fourier(mu: DiscreteMeasure, h: float, xi: float) -> float:
         return 0.0
     h = abs(float(h))
     xi = abs(float(xi))
-    base = _oscillatory_log_integral(1.0, h, xi)
-    total = 0.0
-    for x, w in mu.float_atoms():
-        if w == 0:
-            continue
-        if x == 0:
-            # the x -> 0 kernel difference degenerates to a t-free constant
-            total += w * 0.5 * (base - math.log1p((xi * xi) / (h * h)))
-        else:
-            total += w * 0.5 * (base - _oscillatory_log_integral(abs(x), h, xi))
-    return total
+    atoms = _signed_atoms(mu).T.tolist()
+    total = sum(w * _oscillatory_log_integral(abs(x), h, xi) for x, w in atoms)
+    return -0.5 * (total + float(mu.mass_at_zero()) * math.log1p(xi * xi / (h * h)))
 
 
 def mock_fourier_limit(
@@ -510,12 +505,10 @@ def mock_fourier_limit(
     if mu.mass_at_zero() > 0:
         raise ZeroAtomUnsupported("the limit integrand is -inf on an atom at 0")
     h = abs(float(h))
-    xs, ws = np.array([(abs(x), w) for x, w in mu.float_atoms() if w > 0]).T
+    xs, ws = _signed_atoms(mu)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        th = t * h
-        base = np.log(-np.expm1(-th))
-        return (np.log(-np.expm1(-np.multiply.outer(th, xs))) - base[:, None]) @ ws
+        return np.log(-np.expm1(-np.multiply.outer(t * h, np.abs(xs)))) @ ws
 
     return float(_integrate_unit(integrand, quad or DEFAULT_QUAD))
 

@@ -161,9 +161,9 @@ def _load_config() -> dict:
 
 
 def _parse_n_list(text: str) -> list[int]:
-    if not text.strip():
-        return []
     values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"--n needs at least one size, got {text!r}")
     if any(v < 1 for v in values):
         raise ValueError("n values must be positive")
     return values
@@ -189,8 +189,7 @@ def cmd_dist(args) -> int:
     d_kol = _d_kol(poly)
     payload = {
         "partition": list(lam.rows),
-        "offset": poly.offset,
-        "coeffs": [str(c) for c in poly.coeffs],
+        **poly.to_json(),
         "count": str(poly.at_one()),
         "mean": exact_dist.mean_maj(lam),
         "variance": exact_dist.var_maj(lam),
@@ -214,6 +213,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_cumulants(args) -> int:
+    if args.max_order < 1:
+        raise ValueError(f"--max-order must be >= 1, got {args.max_order}")
     lam = parse_partition(args.partition, strict=args.strict)
     lines = ["order,exact,predicted"]
     lines.append(f"1,{_fmt(exact_dist.mean_maj(lam))},")

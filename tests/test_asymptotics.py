@@ -39,6 +39,7 @@ from majmeter import (
 )
 from majmeter import asymptotics
 from majmeter.asymptotics import standard_normal_cdf
+from majmeter.exact_dist import bernoulli
 from majmeter.errors import (
     DegenerateParameter,
     DomainError,
@@ -73,6 +74,29 @@ def _log_sinhc_reference(x: float, imaginary: bool) -> float:
             total += term
             k += 1
         return float(total.ln())
+
+
+def _kernel_derivs_reference(x: float, imaginary: bool) -> tuple[complex, ...]:
+    """phi', phi'' and phi''' at x, or at ix, at 40 digits: from the power
+    series S of sinh(x/2) / (x/2) (sin for ix) and its derivatives S', S''
+    and S''', through (log S)' = S'/S, (log S)'' = S''/S - (S'/S)^2 and
+    (log S)''' = S'''/S - 3 S'S''/S^2 + 2 (S'/S)^3. On the imaginary axis
+    g(x) = phi(ix) has g^(k)(x) = i^k phi^(k)(ix)."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        u = Decimal(x)
+        s = [Decimal(0)] * 4
+        coef, k = Decimal(1), 0  # coef = (+-1)^k / (4^k (2k+1)!)
+        while abs(coef) * u ** (2 * k) > Decimal(10) ** -45:
+            for j in range(min(4, 2 * k + 1)):
+                s[j] += coef * math.perm(2 * k, j) * u ** (2 * k - j)
+            k += 1
+            coef *= Decimal(-1 if imaginary else 1) / (4 * (2 * k) * (2 * k + 1))
+        g1 = s[1] / s[0]
+        g2 = s[2] / s[0] - g1 * g1
+        g3 = s[3] / s[0] - 3 * g1 * s[2] / s[0] + 2 * g1 ** 3
+        if not imaginary:
+            return complex(g1), complex(g2), complex(g3)
+        return -1j * float(g1), complex(-g2), 1j * float(g3)
 
 
 class TestKernel:
@@ -159,6 +183,24 @@ class TestKernelDerivatives:
         assert abs(d2 - fd2) < 1e-6
         assert abs(d3 - fd3) < 1e-6
 
+    def test_derivative_series_against_a_40_digit_reference(self):
+        # below the |z| = 1/4 switch, on both axes
+        for x in np.geomspace(1e-3, 0.2499, 60):
+            for z, imaginary in ((x, False), (1j * x, True)):
+                for got, want in zip(phi_derivs(z), _kernel_derivs_reference(x, imaginary)):
+                    assert abs(got - want) <= 1e-15 * abs(want), (z, got, want)
+
+    def test_series_table_matches_bernoulli_numbers(self):
+        # the kernel's Taylor coefficients are B_r / (r r!) at even r >= 2
+        table = asymptotics._SERIES_DERIVS
+        assert [len(c) for c in table] == [17, 16, 15, 14]
+        for r in range(17):
+            exact = bernoulli(r) / (r * math.factorial(r)) if r >= 2 and r % 2 == 0 else 0
+            assert table[0][r] == float(exact)
+            for k in range(1, min(r, 3) + 1):
+                want = float(math.perm(r, k) * exact)
+                assert abs(table[k][r - k] - want) <= 4e-16 * abs(want)
+
     def test_series_closed_form_seam(self):
         # either side of the |z| = 0.25 switch agree
         lo = phi_derivs(0.2499)
@@ -171,9 +213,9 @@ def _point_near(radius, offset, angle):
     return radius * (1 + offset) * cmath.exp(1j * angle)
 
 
-# points within 1e-6 relative of the |z| = 1e-3 and |z| = 1/4 series switches,
-# of Re z / 2 = 350 where the hyperbolic terms go to their limits, and of the
-# imaginary-axis cut |Im z| = 2*pi
+# points within 1e-6 relative of |z| = 1e-3 and of the |z| = 1/4 series
+# switch, of |Re z| = 700 far out on the closed forms (where e^-z is near the
+# bottom of the float range), and of the imaginary-axis cut |Im z| = 2*pi
 _offsets = st.floats(min_value=-1e-6, max_value=1e-6)
 near_series_switch = st.builds(
     _point_near, st.sampled_from([1e-3, 0.25]), _offsets,
@@ -323,6 +365,7 @@ class TestQuadratureConfig:
 
     @pytest.mark.parametrize("settings", [
         {"nodes": asymptotics.MAX_QUAD_NODES + 1}, {"rel_tol": math.nan}, {"rel_tol": math.inf},
+        {"nodes": asymptotics.MAX_QUAD_NODES // 2 + 1},
     ])
     def test_node_ceiling_and_finite_tolerance(self, settings):
         with pytest.raises(ValueError):
@@ -375,6 +418,31 @@ class TestLambdaDerivatives:
             lambda_derivs(DELTA_ONE, 1.0)
         with pytest.raises(DegenerateParameter):
             lambda_derivs(DiscreteMeasure([(1, 0.5), (-1, 0.5)]), 1.0)
+
+    def test_one_kernel_call_per_quadrature_pass(self, monkeypatch):
+        # three charged atoms away from 0 and one at 0
+        mu = DiscreteMeasure([(0.5, 0.25), (0.25, 0.25), (-0.125, 0.25), (0, 0.25)])
+        kernel, integrate = asymptotics._kernel, asymptotics._integrate_unit
+        kernel_calls, passes = [], []
+
+        def counting_kernel(z, order):
+            kernel_calls.append(order)
+            return kernel(z, order)
+
+        def counting_integrate(f, quad):
+            def one_pass(t):
+                passes.append(len(t))
+                return f(t)
+            return integrate(one_pass, quad)
+
+        monkeypatch.setattr(asymptotics, "_kernel", counting_kernel)
+        monkeypatch.setattr(asymptotics, "_integrate_unit", counting_integrate)
+        for order in range(4):
+            for z in (1.3, 0.4 + 0.7j):
+                kernel_calls.clear()
+                passes.clear()
+                asymptotics._lambda_deriv(mu, z, order, QuadratureConfig())
+                assert len(passes) >= 2 and kernel_calls == [order] * len(passes)
 
 
 class TestLambdaPrimeLimit:
@@ -681,6 +749,21 @@ class TestMockFourier:
                 lambda_omega(HALF_HALF, complex(5.0, xi)) - lambda_omega(HALF_HALF, 5.0)
             ).real
             assert abs(mock_fourier(HALF_HALF, 5.0, xi) - direct) < 1e-10
+
+    def test_zero_atom_matches_direct_complex_evaluation(self):
+        # alpha 1/2, beta 1/4 and gamma 1/4 at x = 0
+        mu = measure_of(ThomaParam((Fraction(1, 2),), (Fraction(1, 4),)))
+        for xi in (0.5, 2.0, 4.0):
+            direct = (lambda_omega(mu, complex(5.0, xi)) - lambda_omega(mu, 5.0)).real
+            value = mock_fourier(mu, 5.0, xi)
+            assert type(value) is float and abs(value - direct) < 1e-10
+
+    def test_frequency_beyond_the_panel_cap_raises(self):
+        # 200000 one-period panels reach xi = 200000 * 2 pi ~ 1.26e6
+        with pytest.raises(OutOfRange, match="xi = 2000000.0"):
+            mock_fourier(HALF_HALF, 5.0, 2e6)
+        # the value it had when the panel count was capped instead
+        assert mock_fourier(HALF_HALF, 5.0, 1e6) == pytest.approx(-0.2968030606483909, rel=1e-13)
 
     def test_zero_tilt_rejected(self):
         with pytest.raises(DegenerateParameter):

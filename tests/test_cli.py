@@ -138,6 +138,12 @@ class TestCumulants:
         assert code == 4 and out == ""
         assert "order 180" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_max_order_below_one_is_a_usage_error(self, capsys, order):
+        code, out, err = run(capsys, "cumulants", "-p", "3,2", "--max-order", order)
+        assert code == 2 and out == ""
+        assert "--max-order" in err and "Traceback" not in err
+
 
 class TestSample:
     def test_metadata_and_determinism(self, capsys):
@@ -162,9 +168,10 @@ class TestLd:
         assert lines[1].startswith("20,")
 
     def test_empty_n_list(self, capsys):
-        code, out, _ = run(capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "")
-        assert code == 0
-        assert out.splitlines() == ["n,exact_tail,estimate,rate,ratio"]
+        for sizes in ("", ","):
+            code, out, err = run(capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", sizes)
+            assert code == 2 and out == ""
+            assert "--n" in err and "Traceback" not in err
 
     def test_out_of_range(self, capsys):
         code, _, err = run(capsys, "ld", "--family", "two-row", "--y", "0.2", "--n", "20")
@@ -234,6 +241,12 @@ class TestBkol:
             n, d, bound, ok = line.split(",")
             assert ok == "true"
             assert float(d) <= float(bound)
+
+    def test_empty_n_list(self, capsys):
+        for sizes in ("", ","):
+            code, out, err = run(capsys, "bkol", "--family", "two-row", "--n", sizes)
+            assert code == 2 and out == ""
+            assert "--n" in err and "Traceback" not in err
 
     def test_flagged_family(self, capsys):
         code, out, _ = run(capsys, "bkol", "--family", "staircase", "--n", "3")
@@ -306,6 +319,7 @@ class TestBochner:
         (["--xis", "0,3", "--quad-tol", "nan"], "got nan"),
         (["--xis", "0,3", "--quad-tol", "inf"], "got inf"),
         (["--xis", "0,3", "--quad-nodes", "100000"], "got 100000"),
+        (["--xis", "0,3", "--quad-nodes", "2100"], "got 2100"),
     ])
     def test_non_finite_or_oversized_input_is_a_usage_error(self, capsys, recwarn, tail, needle):
         code, out, err = run(capsys, "bochner", "--omega", '{"alpha":[],"beta":[]}', *tail)
