@@ -41,9 +41,7 @@ from .errors import (
     ZeroAtomUnsupported,
 )
 from .partitions import (
-    Partition,
     ThomaParam,
-    conjugate,
     hook_multiset_identity,
     measure_of,
     parse_partition,
@@ -249,7 +247,7 @@ def cmd_ld(args) -> int:
     if args.omega is not None:
         limit_omega = _omega_from_json(args.omega)
     mu_limit = measure_of(limit_omega)
-    y = Fraction(args.y)
+    y = families.parse_fraction(args.y, "--y")
     quad = _quad_from(args)
     lines = ["n,exact_tail,estimate,rate,ratio"]
     for n in _parse_n_list(args.n):

@@ -7,12 +7,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .asymptotics import _check_half_domain, standard_normal_cdf, varphi
+from .asymptotics import _check_half_domain, bernoulli, standard_normal_cdf, varphi
 from .errors import (
     CapExceeded,
     DegenerateDistribution,
@@ -237,20 +236,6 @@ def maj_polynomial_sn(n: int) -> QPolynomial:
     if n < 1:
         raise ValueError("n must be >= 1")
     return QPolynomial(_q_ratio(range(1, n + 1), [1] * n).tolist(), 0)
-
-
-@lru_cache(maxsize=None)
-def bernoulli(r: int) -> Fraction:
-    """Bernoulli number B_r as an exact Fraction, with the convention
-    B_1 = +1/2 (generating series t / (1 - e^{-t}))."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    row = [Fraction(0)] * (r + 1)
-    for m in range(r + 1):
-        row[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-    return row[0]
 
 
 def exact_cumulant(lam: Partition, r: int) -> Fraction:

@@ -8,15 +8,23 @@ first row (which keeps the rows weakly decreasing).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Callable
 
 from .partitions import Partition, ThomaParam
 
 
+def parse_fraction(text: str, what: str) -> Fraction:
+    """text ("p/q" or a decimal) as a Fraction, else a ValueError naming it."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} {text!r} is not a fraction or a decimal") from None
+
+
 def rows_from_frequencies(n: int, freqs) -> Partition:
     if n < 1:
         raise ValueError("n must be >= 1")
-    freqs = [Fraction(f) if isinstance(f, str) else f for f in freqs]
     if any(f < 0 for f in freqs) or any(
         freqs[i] < freqs[i + 1] for i in range(len(freqs) - 1)
     ):
@@ -46,9 +54,7 @@ def staircase(n: int) -> Partition:
     first row; all scaled row frequencies vanish in the limit."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = 1
-    while (k + 1) * (k + 2) // 2 <= n:
-        k += 1
+    k = (isqrt(8 * n + 1) - 1) // 2  # the largest k with k(k+1)/2 <= n
     rows = list(range(k, 0, -1))
     rows[0] += n - k * (k + 1) // 2
     return Partition(rows)
@@ -63,11 +69,10 @@ def family(spec: str) -> tuple[Callable[[int], Partition], ThomaParam]:
     name, _, args = spec.partition(":")
     name = name.strip().lower()
     if name == "two-row":
-        limit = ThomaParam((Fraction(1, 2), Fraction(1, 2)), ())
-        return two_row, limit
+        return two_row, ThomaParam((Fraction(1, 2), Fraction(1, 2)), ())
     if name == "three-row":
         if args:
-            freqs = tuple(Fraction(tok.strip()) for tok in args.split(","))
+            freqs = tuple(parse_fraction(tok, "three-row frequency") for tok in args.split(","))
         else:
             freqs = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
         if len(freqs) != 3:

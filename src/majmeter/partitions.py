@@ -8,9 +8,11 @@ once a measure is handed to the numerical layer.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import neg
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import EmptyPartition, InvalidRow, InvalidSimplexPoint, TooShort
@@ -93,14 +95,9 @@ def parse_partition(text: str, strict: bool = False) -> Partition:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transposed diagram: column lengths become rows."""
-    if not lam.rows:
-        return Partition(())
-    cols = [0] * lam.rows[0]
-    for r in lam.rows:
-        for j in range(r):
-            cols[j] += 1
-    return Partition(cols)
+    """Transposed diagram: column lengths become rows. Column j holds the
+    rows of length >= j, a prefix of the decreasing rows found by bisection."""
+    return Partition(bisect_right(lam.rows, -j, key=neg) for j in range(1, lam.row(1) + 1))
 
 
 def hook_lengths(lam: Partition) -> list[list[int]]:
@@ -166,13 +163,15 @@ class FrobeniusCoords:
 
 
 def frobenius(lam: Partition) -> FrobeniusCoords:
-    """Frobenius coordinates (a_1..a_d | b_1..b_d) with a_i = lambda_i - i + 1/2."""
-    conj = conjugate(lam).rows
+    """Frobenius coordinates (a_1..a_d | b_1..b_d) with a_i = lambda_i - i + 1/2
+    and b_i = lambda'_i - i + 1/2. Only the d column lengths lambda'_i needed
+    are found, as in `conjugate`, so the cost does not grow with the rows."""
+    rows = lam.rows
     d = 0
-    while d < len(lam.rows) and lam.rows[d] >= d + 1:
+    while d < len(rows) and rows[d] >= d + 1:
         d += 1
-    a = tuple(Fraction(2 * (lam.rows[i] - (i + 1)) + 1, 2) for i in range(d))
-    b = tuple(Fraction(2 * (conj[i] - (i + 1)) + 1, 2) for i in range(d))
+    a = tuple(Fraction(2 * (rows[i - 1] - i) + 1, 2) for i in range(1, d + 1))
+    b = tuple(Fraction(2 * (bisect_right(rows, -i, key=neg) - i) + 1, 2) for i in range(1, d + 1))
     coords = FrobeniusCoords(a, b)
     if sum(a) + sum(b) != lam.n:
         raise AssertionError("Frobenius coordinates do not sum to |lambda|")

@@ -140,8 +140,8 @@ class TestKernel:
             assert abs(phi(z) - direct) < 1e-12
 
     def test_series_against_a_40_digit_reference(self):
-        # below the |z| = 1/4 switch, where the closed form cancels
-        for x in [*np.geomspace(1e-3, 0.2499, 60), 1.0001e-3]:
+        # below the |z| = 2 switch, where the closed form cancels
+        for x in [*np.geomspace(1e-3, 1.9999, 90), 1.0001e-3]:
             for z, imaginary in ((x, False), (1j * x, True)):
                 want = _log_sinhc_reference(x, imaginary)
                 assert abs(phi(z).real - want) <= 1e-15 * abs(want)
@@ -184,27 +184,37 @@ class TestKernelDerivatives:
         assert abs(d3 - fd3) < 1e-6
 
     def test_derivative_series_against_a_40_digit_reference(self):
-        # below the |z| = 1/4 switch, on both axes
-        for x in np.geomspace(1e-3, 0.2499, 60):
+        # below the |z| = 2 switch, on both axes
+        for x in np.geomspace(1e-3, 1.9999, 90):
             for z, imaginary in ((x, False), (1j * x, True)):
                 for got, want in zip(phi_derivs(z), _kernel_derivs_reference(x, imaginary)):
                     assert abs(got - want) <= 1e-15 * abs(want), (z, got, want)
 
+    def test_closed_forms_against_a_40_digit_reference(self):
+        # above the |z| = 2 switch, on both axes; the worst case is order 3
+        # just above the switch, where its closed form cancels most
+        for x in np.linspace(2.0, 6.0, 80, endpoint=False):
+            for z, imaginary in ((x, False), (1j * x, True)):
+                want0 = _log_sinhc_reference(x, imaginary)
+                for got, want in zip(_kernel_and_derivs(z),
+                                     (want0, *_kernel_derivs_reference(x, imaginary))):
+                    assert abs(got - want) <= 2e-14 * abs(want), (z, got, want)
+
     def test_series_table_matches_bernoulli_numbers(self):
-        # the kernel's Taylor coefficients are B_r / (r r!) at even r >= 2
+        # the k-th derivative's Taylor coefficients perm(r, k) B_r / (r r!) at
+        # even r through 48, as a polynomial in z^2 (after a factor z for odd k)
         table = asymptotics._SERIES_DERIVS
-        assert [len(c) for c in table] == [17, 16, 15, 14]
-        for r in range(17):
-            exact = bernoulli(r) / (r * math.factorial(r)) if r >= 2 and r % 2 == 0 else 0
-            assert table[0][r] == float(exact)
-            for k in range(1, min(r, 3) + 1):
-                want = float(math.perm(r, k) * exact)
-                assert abs(table[k][r - k] - want) <= 4e-16 * abs(want)
+        assert [len(c) for c in table] == [25, 24, 24, 23]
+        for k, coeffs in enumerate(table):
+            for j, c in enumerate(coeffs):
+                r = 2 * j + k + k % 2
+                exact = bernoulli(r) / (r * math.factorial(r)) if r else 0
+                assert c == float(math.perm(r, k) * exact)
 
     def test_series_closed_form_seam(self):
-        # either side of the |z| = 0.25 switch agree
-        lo = phi_derivs(0.2499)
-        hi = phi_derivs(0.2501)
+        # either side of the |z| = 2 switch agree
+        lo = phi_derivs(1.9999)
+        hi = phi_derivs(2.0001)
         for a, b in zip(lo, hi):
             assert abs(a - b) < 1e-3 * max(1.0, abs(a)) or abs(a - b) < 2e-4
 
@@ -213,12 +223,12 @@ def _point_near(radius, offset, angle):
     return radius * (1 + offset) * cmath.exp(1j * angle)
 
 
-# points within 1e-6 relative of |z| = 1e-3 and of the |z| = 1/4 series
+# points within 1e-6 relative of |z| = 1e-3 and of the |z| = 2 series
 # switch, of |Re z| = 700 far out on the closed forms (where e^-z is near the
 # bottom of the float range), and of the imaginary-axis cut |Im z| = 2*pi
 _offsets = st.floats(min_value=-1e-6, max_value=1e-6)
 near_series_switch = st.builds(
-    _point_near, st.sampled_from([1e-3, 0.25]), _offsets,
+    _point_near, st.sampled_from([1e-3, 2.0]), _offsets,
     st.floats(min_value=-math.pi, max_value=math.pi),
 )
 near_clip = st.builds(
@@ -231,7 +241,7 @@ near_cut = st.builds(
 )
 on_real_seam = st.builds(
     lambda radius, offset, sign: sign * radius * (1 + offset),
-    st.sampled_from([1e-3, 0.25, 700.0]), _offsets, st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([1e-3, 2.0, 700.0]), _offsets, st.sampled_from([-1.0, 1.0]),
 )
 
 
@@ -589,8 +599,8 @@ class TestLDEstimate:
 
     def test_prefactor_source_flag(self):
         mu_n = measure_of(thoma_embed(Partition((10, 10))))
-        a = ld_estimate(mu_n, HALF_HALF, 0.02, 20, use_limit_prefactor=True)
-        b = ld_estimate(mu_n, HALF_HALF, 0.02, 20, use_limit_prefactor=False)
+        a = ld_estimate(mu_n, HALF_HALF, 0.02, 20)
+        b = ld_estimate(mu_n, mu_n, 0.02, 20)
         assert a.rate == b.rate
         assert a.h != b.h
 
@@ -604,10 +614,10 @@ class TestLDEstimate:
             return real(mu, y, quad)
 
         monkeypatch.setattr(asymptotics, "legendre_star", counted)
-        ld_estimate(mu_n, HALF_HALF, 0.02, 20, use_limit_prefactor=False)
+        ld_estimate(mu_n, mu_n, 0.02, 20)
         assert calls == [mu_n]
         calls.clear()
-        ld_estimate(mu_n, HALF_HALF, 0.02, 20, use_limit_prefactor=True)
+        ld_estimate(mu_n, HALF_HALF, 0.02, 20)
         assert calls == [mu_n, HALF_HALF]
 
     def test_serialisation(self):

@@ -93,6 +93,9 @@ class TestFamilies:
         assert staircase(1) == Partition((1,))
         for n in (5, 17, 100):
             assert staircase(n).n == n
+        for n in range(1, 300):
+            k = len(staircase(n))  # the largest staircase that fits
+            assert k * (k + 1) // 2 <= n < (k + 1) * (k + 2) // 2
 
     def test_unknown(self):
         with pytest.raises(ValueError):
@@ -221,6 +224,24 @@ class TestLd:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["--family", "two-row", "--y", "1/0"], "--y '1/0'"),
+        (["--family", "three-row:1/0,1/2,1/2", "--y", "0.05"], "frequency '1/0'"),
+    ])
+    def test_zero_denominator_is_a_usage_error(self, capsys, argv, needle):
+        code, out, err = run(capsys, "ld", *argv, "--n", "20")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and needle in err and "Traceback" not in err
+
+    def test_size_beyond_the_index_range(self, capsys):
+        # two-row(10^20) has rows longer than any list can be
+        code, out, err = run(
+            capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "99999999999999999999"
+        )
+        assert code == 0 and err == ""
+        row = out.splitlines()[1].split(",")
+        assert row[0] == "99999999999999999999" and row[1] == "" and row[4] == ""
+
     def test_beyond_exact_cap_leaves_blanks(self, capsys):
         code, out, _ = run(
             capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "20",
@@ -247,6 +268,11 @@ class TestBkol:
             code, out, err = run(capsys, "bkol", "--family", "two-row", "--n", sizes)
             assert code == 2 and out == ""
             assert "--n" in err and "Traceback" not in err
+
+    def test_zero_denominator_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "bkol", "--family", "three-row:1/0,1/2,1/2", "--n", "20")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "frequency '1/0'" in err and "Traceback" not in err
 
     def test_flagged_family(self, capsys):
         code, out, _ = run(capsys, "bkol", "--family", "staircase", "--n", "3")
@@ -290,6 +316,13 @@ class TestBochner:
         )
         assert code == 4
         assert err.startswith("error:") and "did not stabilise" in err
+
+    def test_overflowing_frequency_difference_hits_the_cut(self, capsys, recwarn):
+        # 1e308 - (-1e308) overflows to inf, which lies on the cut
+        code, out, err = run(capsys, "bochner", "--omega", "{}", "--xis", "1e308,-1e308")
+        assert code == 4 and out == ""
+        assert err.startswith("error:") and "cut" in err and "Traceback" not in err
+        assert not recwarn.list
 
     def test_simplex_edge_point(self, capsys):
         # alpha sums to 1 + 5e-13, inside the simplex tolerance

@@ -36,6 +36,7 @@ from majmeter.errors import (
     OddOrder,
     OutOfRange,
 )
+from majmeter import asymptotics, exact_dist
 from majmeter.exact_dist import _q_ratio
 from majmeter.families import staircase, three_row, two_row
 from majmeter.tableaux import maj_multiset, perm_descents
@@ -54,6 +55,18 @@ class TestBernoulli:
 
     def test_odd_vanish(self):
         assert all(bernoulli(r) == 0 for r in (3, 5, 7, 9, 11))
+
+    def test_one_routine(self):
+        assert exact_dist.bernoulli is asymptotics.bernoulli is bernoulli
+
+    def test_von_staudt_clausen(self):
+        # for even r, B_r plus 1/p summed over the primes p with (p - 1) | r is
+        # an integer, so the denominator of B_r is the product of those p
+        for r in range(2, 61, 2):
+            primes = [p for p in range(2, r + 2)
+                      if r % (p - 1) == 0 and all(p % q for q in range(2, p))]
+            assert bernoulli(r).denominator == math.prod(primes)
+            assert (bernoulli(r) + sum(Fraction(1, p) for p in primes)).denominator == 1
 
     def test_generating_series(self):
         # oracle: (1 - e^{-t}) * sum B_r t^r / r!  ==  t, coefficientwise

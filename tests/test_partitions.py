@@ -29,6 +29,7 @@ from majmeter.errors import (
     InvalidSimplexPoint,
     TooShort,
 )
+from majmeter.families import two_row
 from majmeter.tableaux import enumerate_standard
 
 from conftest import partition_strategy
@@ -163,6 +164,23 @@ class TestFrobenius:
         assert sum(fc.a) + sum(fc.b) == lam.n
         swapped = frobenius(conjugate(lam))
         assert swapped.a == fc.b and swapped.b == fc.a
+
+    def test_against_counted_columns(self):
+        for n in range(1, 13):
+            for lam in partitions_of(n):
+                d = sum(1 for i, r in enumerate(lam.rows, 1) if r >= i)
+                cols = [sum(1 for r in lam.rows if r >= j) for j in range(1, d + 1)]
+                half = Fraction(1, 2)
+                fc = frobenius(lam)
+                assert fc.a == tuple(r - i + half for i, r in enumerate(lam.rows[:d], 1))
+                assert fc.b == tuple(c - i + half for i, c in enumerate(cols, 1))
+
+    def test_rows_beyond_the_index_range(self):
+        # two-row(10^20): its conjugate would have 5e19 rows
+        n = 10 ** 20
+        fc = frobenius(two_row(n))
+        assert fc.a == (Fraction(n, 2) - Fraction(1, 2), Fraction(n, 2) - Fraction(3, 2))
+        assert fc.b == (Fraction(3, 2), Fraction(1, 2))
 
     def test_strictly_decreasing(self):
         fc = frobenius(Partition((6, 5, 5, 3, 2)))
