@@ -426,6 +426,7 @@ def ld_estimate(
     The decay rate is conjugated at the finite-n parameter mu_n, while the
     tilt h and the prefactor come from mu_limit; passing mu_n as mu_limit
     takes all of them from the finite-n parameter, conjugating once.
+    An estimate below float range raises OutOfRange naming its log.
     """
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
@@ -437,7 +438,12 @@ def ld_estimate(
         h, _ = legendre_star(mu_limit, signed_y, quad)
     psi_h = psi_omega(mu_limit, h).real
     lam2 = float(_lambda_deriv(mu_limit, h, 2, quad or DEFAULT_QUAD))
-    estimate = math.exp(-n * rate + psi_h) / (abs(h) * math.sqrt(2.0 * math.pi * n * lam2))
+    denominator = abs(h) * math.sqrt(2.0 * math.pi * n * lam2)
+    estimate = math.exp(-n * rate + psi_h) / denominator
+    if estimate == 0.0:
+        log_estimate = -n * rate + psi_h - math.log(denominator)
+        raise OutOfRange(
+            f"the estimate at n = {n} underflows float range: its log is {log_estimate:.6g}")
     return LDReport(
         y=y, side=side, h=h, rate=rate, psi_at_h=psi_h, lambda2_at_h=lam2,
         estimate=estimate,

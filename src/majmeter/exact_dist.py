@@ -4,6 +4,7 @@ and the Kolmogorov distance to the standard normal law."""
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -100,20 +101,53 @@ def _q_ratio(numerator: Sequence[int], denominator: Sequence[int]) -> np.ndarray
     Division by (1 - q^h) is the recurrence out[i] = c[i] + out[i - h], i.e.
     a cumulative sum down each residue class mod h; it must leave a zero
     remainder, otherwise an AssertionError is raised.
+
+    1 - q^h is the product of the cyclotomic Phi_d over d | h, so dividing by
+    it is exact as soon as the running product holds each of those Phi_d;
+    `held[d]` counts them, raised by every numerator and lowered by every
+    division.  The numerators go in ascending order, and after each one every
+    pending h that is now exact is divided out, largest first.  The array
+    then stays close to its final length (two-row(300): a peak of 22 501
+    coefficients against 22 351, where multiplying every numerator out first
+    peaks at 33 675).  Whatever is still pending after the last numerator is
+    divided unconditionally, so a wrong denominator still fails the
+    zero-remainder check.
     """
     coeffs = np.ones(1, dtype=object)
-    for k in numerator:
+    held = Counter()
+    pending = sorted(denominator, reverse=True)
+    for k in sorted(numerator):
         out = np.concatenate([coeffs, np.zeros(k, dtype=object)])
         out[k:] -= coeffs
         coeffs = out
-    for h in denominator:
-        m = len(coeffs) - h
-        padded = np.concatenate([coeffs, np.zeros(-len(coeffs) % h, dtype=object)])
-        out = padded.reshape(-1, h).cumsum(axis=0).ravel()
-        if m < 1 or out[m:].any():
-            raise AssertionError(f"inexact division by 1 - q^{h} (hook bug)")
-        coeffs = out[:m]
+        held.update(_divisors(k))
+        waiting = []
+        for h in pending:
+            if all(held[d] for d in _divisors(h)):
+                coeffs = _divide(coeffs, h)
+                held.subtract(_divisors(h))
+            else:
+                waiting.append(h)
+        pending = waiting
+    for h in pending:
+        coeffs = _divide(coeffs, h)
     return coeffs
+
+
+@functools.cache
+def _divisors(h: int) -> tuple[int, ...]:
+    """The divisors of h in ascending order, so 1 (for Phi_1) comes first."""
+    return tuple(d for d in range(1, h + 1) if h % d == 0)
+
+
+def _divide(coeffs: np.ndarray, h: int) -> np.ndarray:
+    """coeffs / (1 - q^h), asserting a zero remainder."""
+    m = len(coeffs) - h
+    padded = np.concatenate([coeffs, np.zeros(-len(coeffs) % h, dtype=object)])
+    out = padded.reshape(-1, h).cumsum(axis=0).ravel()
+    if m < 1 or out[m:].any():
+        raise AssertionError(f"inexact division by 1 - q^{h} (hook bug)")
+    return out[:m]
 
 
 def _ratio_factors(lam: Partition) -> tuple[list[int], list[int]]:
@@ -368,6 +402,7 @@ def kolmogorov_distance_to_normal(poly: QPolynomial) -> float:
     mean_f = float(mean)
     mass = poly.at_one()
     running = 0
+    below = 0.0  # the CDF just below the current jump: the last jump's value
     worst = 0.0
     for i, c in enumerate(poly.coeffs):
         if c == 0:
@@ -375,10 +410,10 @@ def kolmogorov_distance_to_normal(poly: QPolynomial) -> float:
         m = poly.offset + i
         s = (m - mean_f) / sd
         gauss = standard_normal_cdf(s)
-        below = running / mass
         running += c
         here = running / mass
         worst = max(worst, abs(here - gauss), abs(below - gauss))
+        below = here
     return worst
 
 

@@ -597,6 +597,11 @@ class TestLDEstimate:
         ]
         assert all(a > b for a, b in zip(estimates, estimates[1:]))
 
+    def test_underflow_raises_instead_of_returning_zero(self):
+        assert ld_estimate(HALF_HALF, HALF_HALF, 0.02, 50000).estimate > 0
+        with pytest.raises(OutOfRange, match=r"n = 100000 .* its log is -9\d\d\."):
+            ld_estimate(HALF_HALF, HALF_HALF, 0.02, 100000)
+
     def test_prefactor_source_flag(self):
         mu_n = measure_of(thoma_embed(Partition((10, 10))))
         a = ld_estimate(mu_n, HALF_HALF, 0.02, 20)

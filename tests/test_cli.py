@@ -180,6 +180,21 @@ class TestLd:
         code, _, err = run(capsys, "ld", "--family", "two-row", "--y", "0.2", "--n", "20")
         assert code == 4
 
+    def test_estimate_below_float_range_exits_4(self, capsys):
+        code, out, err = run(
+            capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "100000",
+            "--exact-cap", "0",
+        )
+        assert code == 4 and out == ""
+        assert "n = 100000" in err and "its log is -970.291" in err
+        assert "Traceback" not in err
+        code, out, _ = run(
+            capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "50000",
+            "--exact-cap", "0",
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "50000,,2.725541964340618e-212,0.0096555816186308357,"
+
     def test_zero_doublings_is_a_usage_error(self, capsys):
         code, _, err = run(
             capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "20",
@@ -234,13 +249,20 @@ class TestLd:
         assert err.startswith("error:") and needle in err and "Traceback" not in err
 
     def test_size_beyond_the_index_range(self, capsys):
-        # two-row(10^20) has rows longer than any list can be
+        # two-row(10^20) has rows longer than any list can be; at y = 0.02
+        # its estimate is below float range, at y = 1e-10 it is not
         code, out, err = run(
-            capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "99999999999999999999"
+            capsys, "ld", "--family", "two-row", "--y", "1e-10", "--n", "99999999999999999999"
         )
         assert code == 0 and err == ""
         row = out.splitlines()[1].split(",")
         assert row[0] == "99999999999999999999" and row[1] == "" and row[4] == ""
+        assert 0 < float(row[2]) < 1
+        code, out, err = run(
+            capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "99999999999999999999"
+        )
+        assert code == 4 and out == ""
+        assert "n = 99999999999999999999" in err and "Traceback" not in err
 
     def test_beyond_exact_cap_leaves_blanks(self, capsys):
         code, out, _ = run(

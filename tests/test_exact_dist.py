@@ -6,10 +6,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majmeter import (
     Partition,
     QPolynomial,
+    b_stat,
     bernoulli,
     count_standard_tableaux,
     cumulant_decomposition,
@@ -39,6 +41,7 @@ from majmeter.errors import (
 from majmeter import asymptotics, exact_dist
 from majmeter.exact_dist import _q_ratio
 from majmeter.families import staircase, three_row, two_row
+from majmeter.partitions import hook_list
 from majmeter.tableaux import maj_multiset, perm_descents
 
 from conftest import partition_strategy
@@ -417,9 +420,56 @@ class TestFloatVariant:
         offset, coeffs = maj_polynomial_float(Partition((1,) * 310))
         assert offset == 310 * 309 // 2 and list(coeffs) == [1]
 
+    # the last three are never found exact while the numerators go in, so
+    # only the unconditional pass over the leftover denominators catches them
     @pytest.mark.parametrize(
-        "numerator, denominator", [([2], [3]), ([3], [2]), ([1, 1], [2]), ([4], [1, 1, 3])]
+        "numerator, denominator",
+        [
+            ([2], [3]), ([3], [2]), ([1, 1], [2]), ([4], [1, 1, 3]),
+            ([2, 3], [6]), ([6], [4]), ([4], [2, 2]),
+        ],
     )
     def test_q_ratio_rejects_inexact_division(self, numerator, denominator):
         with pytest.raises(AssertionError, match="inexact division"):
             _q_ratio(numerator, denominator)
+
+
+def _q_ratio_reference(numerator, denominator):
+    """prod(1 - q^k) / prod(1 - q^h) on plain lists: every multiplication,
+    then every division."""
+    coeffs = [1]
+    for k in numerator:
+        coeffs += [0] * k
+        for i in range(len(coeffs) - 1, k - 1, -1):
+            coeffs[i] -= coeffs[i - k]
+    for h in denominator:
+        for i in range(h, len(coeffs)):
+            coeffs[i] += coeffs[i - h]
+        assert not any(coeffs[len(coeffs) - h:])
+        del coeffs[len(coeffs) - h:]
+    return coeffs
+
+
+class TestQRatio:
+    @settings(deadline=None)
+    @given(partition_strategy(max_n=30), st.randoms(use_true_random=False))
+    def test_matches_multiply_then_divide(self, lam, rng):
+        numerator, denominator = exact_dist._ratio_factors(lam)
+        expected = _q_ratio_reference(numerator, denominator)
+        assert _q_ratio(numerator, denominator).tolist() == expected
+        rng.shuffle(numerator)
+        rng.shuffle(denominator)
+        assert _q_ratio(numerator, denominator).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "build, n", [(two_row, 300), (staircase, 300), (three_row, 180)]
+    )
+    def test_workload_shapes_at_integer_points(self, build, n):
+        # P(q) prod(q^h - 1) = q^b prod_{k<=n}(q^k - 1) in exact integers, a
+        # route that shares nothing with the q-ratio's division bookkeeping
+        lam = build(n)
+        poly = maj_polynomial(lam)
+        for q in (2, 3):
+            left = poly(q) * math.prod(q**h - 1 for h in hook_list(lam))
+            right = q ** b_stat(lam) * math.prod(q**k - 1 for k in range(1, n + 1))
+            assert left == right
