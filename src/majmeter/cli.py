@@ -102,9 +102,9 @@ def _json_default(obj):
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
-def _write(args, text: str):
+def _write(args, text: str, mode: str = "w"):
     if args.output:
-        with open(args.output, "w") as fh:
+        with open(args.output, mode) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -249,7 +249,7 @@ def cmd_ld(args) -> int:
     mu_limit = measure_of(limit_omega)
     y = families.parse_fraction(args.y, "--y")
     quad = _quad_from(args)
-    lines = ["n,exact_tail,estimate,rate,ratio"]
+    header, mode = "n,exact_tail,estimate,rate,ratio\n", "w"
     for n in _parse_n_list(args.n):
         lam = build(n)
         mu_n = measure_of(thoma_embed(lam))
@@ -268,10 +268,9 @@ def cmd_ld(args) -> int:
             tail = exact_dist.tail_probability(poly, threshold, args.side)
             exact_text = _fmt(float(tail))
             ratio_text = _fmt(float(tail) / report.estimate)
-        lines.append(
-            f"{n},{exact_text},{_fmt(report.estimate)},{_fmt(report.rate)},{ratio_text}"
-        )
-    _write(args, "\n".join(lines) + "\n")
+        row = f"{n},{exact_text},{_fmt(report.estimate)},{_fmt(report.rate)},{ratio_text}\n"
+        _write(args, header + row, mode)  # row by row: an n that fails keeps the rows before it
+        header, mode = "", "a"
     return EXIT_OK
 
 

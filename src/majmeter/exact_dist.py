@@ -8,11 +8,13 @@ import functools
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, compress, count, repeat
+from operator import truediv
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .asymptotics import _check_half_domain, bernoulli, standard_normal_cdf, varphi
+from .asymptotics import _check_half_domain, bernoulli, varphi
 from .errors import (
     CapExceeded,
     DegenerateDistribution,
@@ -95,59 +97,57 @@ class QPolynomial:
 
 
 def _q_ratio(numerator: Sequence[int], denominator: Sequence[int]) -> np.ndarray:
-    """Coefficients of prod(1 - q^k, numerator) / prod(1 - q^h, denominator)
+    """Coefficients of P = prod(1 - q^k, numerator) / prod(1 - q^h, denominator)
     as a dtype=object array of Python ints.
 
-    Division by (1 - q^h) is the recurrence out[i] = c[i] + out[i - h], i.e.
-    a cumulative sum down each residue class mod h; it must leave a zero
-    remainder, otherwise an AssertionError is raised.
-
-    1 - q^h is the product of the cyclotomic Phi_d over d | h, so dividing by
-    it is exact as soon as the running product holds each of those Phi_d;
-    `held[d]` counts them, raised by every numerator and lowered by every
-    division.  The numerators go in ascending order, and after each one every
-    pending h that is now exact is divided out, largest first.  The array
-    then stays close to its final length (two-row(300): a peak of 22 501
-    coefficients against 22 351, where multiplying every numerator out first
-    peaks at 33 675).  Whatever is still pending after the last numerator is
-    divided unconditionally, so a wrong denominator still fails the
-    zero-remainder check.
+    1 - q^h = -prod(Phi_d, d | h) over the cyclotomic Phi_d, so P is a
+    polynomial iff, for every d, at least as many k as h are multiples of d;
+    otherwise an AssertionError is raised before any arithmetic.  Its degree
+    is then D = sum(k) - sum(h), and since 1 - q^-k = -q^-k (1 - q^k),
+    q^D P(1/q) = (-1)^(#numerator - #denominator) P: the coefficients are a
+    signed palindrome.  Only c_0..c_(D//2) are built, as one array of power
+    series mod q^(D//2 + 1).  The numerators go in ascending, then the
+    factors 1 + q^h of the pairs k = 2h, in int64 while that is exact and in
+    Python ints after.  Then the other hooks are divided out largest first,
+    each by the recurrence out[i] = c[i] + out[i - h] (a cumulative sum down
+    each residue class mod h).  With every factor in, each partial quotient
+    is P times the hook factors still to divide: a polynomial, as in exact
+    division.  The upper half is the lower one mirrored, with that sign.
     """
-    coeffs = np.ones(1, dtype=object)
-    held = Counter()
-    pending = sorted(denominator, reverse=True)
-    for k in sorted(numerator):
-        out = np.concatenate([coeffs, np.zeros(k, dtype=object)])
-        out[k:] -= coeffs
-        coeffs = out
-        held.update(_divisors(k))
-        waiting = []
-        for h in pending:
-            if all(held[d] for d in _divisors(h)):
-                coeffs = _divide(coeffs, h)
-                held.subtract(_divisors(h))
-            else:
-                waiting.append(h)
-        pending = waiting
-    for h in pending:
-        coeffs = _divide(coeffs, h)
-    return coeffs
+    held = Counter(d for k in numerator for d in _divisors(k))
+    held.subtract(d for h in denominator for d in _divisors(h))
+    if min(held.values(), default=0) < 0:
+        raise AssertionError("inexact division by 1 - q^h (hook bug)")
+    degree = sum(numerator) - sum(denominator)
+    half = degree // 2 + 1  # 1 - q^k is 1 mod q^half once k >= half
+    # (1 - q^2h) / (1 - q^h) = 1 + q^h: one pass where two would be made
+    num, den = Counter(numerator), Counter(denominator)
+    doubled = Counter({h: min(c, num[2 * h]) for h, c in den.items()})
+    num.subtract({2 * h: c for h, c in doubled.items()})
+    den.subtract(doubled)
+    steps = [(k, np.subtract) for k in sorted(num.elements()) if k < half]
+    steps += [(h, np.add) for h in sorted(doubled.elements()) if h < half]
+    coeffs = np.zeros(half, dtype=np.int64)
+    coeffs[0] = 1
+    for e, op in steps:
+        # a step at most doubles the largest |c|, so int64 is exact below 2^62
+        if coeffs.dtype != object and np.abs(coeffs).max() >= 1 << 62:
+            coeffs = coeffs.astype(object)
+        coeffs[e:] = op(coeffs[e:], coeffs[:half - e])
+    coeffs = coeffs.astype(object)
+    for h in sorted((h for h in den.elements() if h < half), reverse=True):
+        padded = np.concatenate([coeffs, np.zeros(-half % h, dtype=object)])
+        coeffs = padded.reshape(-1, h).cumsum(axis=0).ravel()[:half]
+    upper = coeffs[:degree + 1 - half][::-1]
+    if (len(numerator) - len(denominator)) % 2:
+        upper = -upper
+    return np.concatenate([coeffs, upper])
 
 
 @functools.cache
 def _divisors(h: int) -> tuple[int, ...]:
     """The divisors of h in ascending order, so 1 (for Phi_1) comes first."""
     return tuple(d for d in range(1, h + 1) if h % d == 0)
-
-
-def _divide(coeffs: np.ndarray, h: int) -> np.ndarray:
-    """coeffs / (1 - q^h), asserting a zero remainder."""
-    m = len(coeffs) - h
-    padded = np.concatenate([coeffs, np.zeros(-len(coeffs) % h, dtype=object)])
-    out = padded.reshape(-1, h).cumsum(axis=0).ravel()
-    if m < 1 or out[m:].any():
-        raise AssertionError(f"inexact division by 1 - q^{h} (hook bug)")
-    return out[:m]
 
 
 def _ratio_factors(lam: Partition) -> tuple[list[int], list[int]]:
@@ -167,9 +167,9 @@ def _ratio_factors(lam: Partition) -> tuple[list[int], list[int]]:
 def maj_polynomial(lam: Partition, exact_cap: int = BIGINT_CAP) -> QPolynomial:
     """Generating polynomial of maj over the standard tableaux of lam.
 
-    Built as q^b(lam) * prod(1 - q^k, k=1..n) / prod(1 - q^h, hooks); every
-    intermediate quotient is itself a polynomial, so each division asserts a
-    zero remainder.
+    Built as q^b(lam) * prod(1 - q^k, k=1..n) / prod(1 - q^h, hooks) by
+    _q_ratio, which proves the division exact before it starts; the mass is
+    then checked against the hook-length count.
     """
     n = lam.n
     if n < 1:
@@ -393,28 +393,27 @@ def tail_probability(poly: QPolynomial, threshold: int, side: str = "upper") -> 
 
 def kolmogorov_distance_to_normal(poly: QPolynomial) -> float:
     """sup-distance between the standardised coefficient CDF and Phi, taken
-    over both one-sided limits at every jump."""
+    over both one-sided limits at every jump (every nonzero coefficient).
+
+    The running sums stay exact Python ints, each divided by the mass once;
+    Phi(s) is 0.5 erfc(-s / sqrt 2) as in standard_normal_cdf.  The pass runs
+    through C-level iterators and numpy, with every float operation the one a
+    scalar loop over the jumps would make, so the value is bit-identical to it.
+    """
     mean = poly.moment(1)
     var = poly.moment(2) - mean * mean
     if var <= 0:
         raise DegenerateDistribution("zero variance; nothing to standardise")
     sd = math.sqrt(float(var))
-    mean_f = float(mean)
-    mass = poly.at_one()
-    running = 0
-    below = 0.0  # the CDF just below the current jump: the last jump's value
-    worst = 0.0
-    for i, c in enumerate(poly.coeffs):
-        if c == 0:
-            continue
-        m = poly.offset + i
-        s = (m - mean_f) / sd
-        gauss = standard_normal_cdf(s)
-        running += c
-        here = running / mass
-        worst = max(worst, abs(here - gauss), abs(below - gauss))
-        below = here
-    return worst
+    coeffs = poly.coeffs
+    jumps = np.fromiter(compress(count(poly.offset), coeffs), float)
+    cdf = np.fromiter(
+        map(truediv, accumulate(compress(coeffs, coeffs)), repeat(poly.at_one())), float
+    )
+    s = (jumps - float(mean)) / sd
+    gauss = 0.5 * np.fromiter(map(math.erfc, (-s / math.sqrt(2.0)).tolist()), float)
+    below = np.concatenate([[0.0], cdf[:-1]])  # the CDF just below each jump
+    return float(max(np.abs(cdf - gauss).max(), np.abs(below - gauss).max()))
 
 
 def log_laplace_exact(lam: Partition, z: complex) -> complex:

@@ -195,6 +195,21 @@ class TestLd:
         assert code == 0
         assert out.splitlines()[1] == "50000,,2.725541964340618e-212,0.0096555816186308357,"
 
+    def test_rows_before_a_failing_n_are_kept(self, capsys, tmp_path):
+        argv = ["ld", "--family", "two-row", "--y", "0.02", "--n", "50000,100000",
+                "--exact-cap", "0"]
+        expected = (
+            "n,exact_tail,estimate,rate,ratio\n"
+            "50000,,2.725541964340618e-212,0.0096555816186308357,\n"
+        )
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == expected
+        assert "n = 100000" in err and "Traceback" not in err
+        path = tmp_path / "ld.csv"
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert code == 4 and out == "" and path.read_text() == expected
+        assert "Traceback" not in err
+
     def test_zero_doublings_is_a_usage_error(self, capsys):
         code, _, err = run(
             capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "20",

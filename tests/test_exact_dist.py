@@ -5,7 +5,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from majmeter import (
@@ -338,6 +338,50 @@ class TestKolmogorov:
         with pytest.raises(DegenerateDistribution):
             kolmogorov_distance_to_normal(QPolynomial([1], offset=3))
 
+    @settings(deadline=None)
+    @given(partition_strategy(max_n=30))
+    def test_bit_identical_to_the_scalar_loop(self, lam):
+        poly = maj_polynomial(lam)
+        assume(len(poly.coeffs) > 1)
+        value = kolmogorov_distance_to_normal(poly)
+        assert type(value) is float and value == _d_kol_reference(poly)
+
+    @pytest.mark.parametrize("offset", [0, 5, 10**6])
+    def test_bit_identical_with_interior_zeros(self, offset):
+        for coeffs in ([1, 0, 0, 2, 0, 1], [3, 0, 1], [1] + [0] * 40 + [7, 0, 2]):
+            poly = QPolynomial(coeffs, offset)
+            assert kolmogorov_distance_to_normal(poly) == _d_kol_reference(poly)
+        poly = maj_polynomial(Partition((5, 3, 1))).shifted(offset)
+        assert kolmogorov_distance_to_normal(poly) == _d_kol_reference(poly)
+
+    @pytest.mark.parametrize(
+        "build, n",
+        [(two_row, 240), (three_row, 180), (staircase, 153),
+         (two_row, 300), (three_row, 120), (staircase, 105)],
+    )
+    def test_bit_identical_on_workload_shapes(self, build, n):
+        poly = maj_polynomial(build(n))
+        assert kolmogorov_distance_to_normal(poly) == _d_kol_reference(poly)
+
+
+def _d_kol_reference(poly):
+    """d_Kol by a scalar loop over the coefficients, one jump at a time."""
+    mean = poly.moment(1)
+    sd = math.sqrt(float(poly.moment(2) - mean * mean))
+    mean_f = float(mean)
+    mass = poly.at_one()
+    running = 0
+    below = worst = 0.0
+    for i, c in enumerate(poly.coeffs):
+        if c == 0:
+            continue
+        gauss = asymptotics.standard_normal_cdf((poly.offset + i - mean_f) / sd)
+        running += c
+        here = running / mass
+        worst = max(worst, abs(here - gauss), abs(below - gauss))
+        below = here
+    return worst
+
 
 class TestLogLaplaceExact:
     def test_zero(self):
@@ -420,8 +464,9 @@ class TestFloatVariant:
         offset, coeffs = maj_polynomial_float(Partition((1,) * 310))
         assert offset == 310 * 309 // 2 and list(coeffs) == [1]
 
-    # the last three are never found exact while the numerators go in, so
-    # only the unconditional pass over the leftover denominators catches them
+    # each has a d that divides more hooks than numerators, so the up-front
+    # count of the cyclotomic factors Phi_d rejects all seven before any
+    # arithmetic
     @pytest.mark.parametrize(
         "numerator, denominator",
         [
@@ -460,6 +505,24 @@ class TestQRatio:
         rng.shuffle(numerator)
         rng.shuffle(denominator)
         assert _q_ratio(numerator, denominator).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "numerator, denominator",
+        [
+            ([1], []), ([1, 2], []), ([2], [1]),  # unequal counts: the mirror's sign
+            ([], []), ([1], [1]), ([2, 3], [3, 2]),  # D = 0
+            ([5], []), ([2, 9], [1]), ([2, 40], [1, 1]),  # numerators past the half
+            ([4], [2]), ([4, 4, 6], [2, 2, 3]), ([3, 8], [4]),  # pairs k = 2h
+            ([1] * 80, []), ([2] * 70, [1] * 70),  # binomials past int64
+        ],
+    )
+    def test_matches_reference_off_the_partition_path(self, numerator, denominator):
+        expected = _q_ratio_reference(numerator, denominator)
+        assert _q_ratio(numerator, denominator).tolist() == expected
+
+    def test_odd_count_gap_mirrors_with_a_sign(self):
+        assert _q_ratio([1], []).tolist() == [1, -1]
+        assert _q_ratio([2, 9], [1]).tolist() == [1, 1] + [0] * 7 + [-1, -1]
 
     @pytest.mark.parametrize(
         "build, n", [(two_row, 300), (staircase, 300), (three_row, 180)]
