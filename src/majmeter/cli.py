@@ -180,6 +180,15 @@ def _d_kol(poly):
         return None
 
 
+def _dist_json(payload: dict) -> str:
+    """json.dumps(payload, default=_json_default, indent=2), with the list of
+    coefficient strings (decimal digits, never empty) joined in directly: any
+    indent sends json to its pure-Python encoder, one call per item."""
+    text = json.dumps({**payload, "coeffs": None}, default=_json_default, indent=2)
+    coeffs = '[\n    "' + '",\n    "'.join(payload["coeffs"]) + '"\n  ]'
+    return text.replace('"coeffs": null', '"coeffs": ' + coeffs, 1)
+
+
 def cmd_dist(args) -> int:
     lam = parse_partition(args.partition, strict=args.strict)
     poly = exact_dist.maj_polynomial(lam, exact_cap=args.exact_cap)
@@ -195,7 +204,7 @@ def cmd_dist(args) -> int:
         "d_kol": d_kol,
     }
     if args.format == "json":
-        _write(args, json.dumps(payload, default=_json_default, indent=2) + "\n")
+        _write(args, _dist_json(payload) + "\n")
     else:
         lines = [f"# partition={','.join(map(str, lam.rows))}"]
         for key in ("count", "mean", "variance", "range", "d_kol"):

@@ -9,7 +9,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
-from operator import truediv
+from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,7 +38,7 @@ class QPolynomial:
     """Dense polynomial sum_m c_m q^m with arbitrary-precision integer
     coefficients; `offset` is the exponent of the first stored coefficient."""
 
-    __slots__ = ("coeffs", "offset")
+    __slots__ = ("coeffs", "offset", "_mass")
 
     def __init__(self, coeffs: Sequence[int], offset: int = 0):
         coeffs = list(coeffs)
@@ -50,6 +50,7 @@ class QPolynomial:
             lo += 1
         self.coeffs = tuple(coeffs[lo:hi])
         self.offset = offset + lo if self.coeffs else 0
+        self._mass = sum(self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -62,7 +63,8 @@ class QPolynomial:
         return self.offset, self.degree
 
     def at_one(self) -> int:
-        return sum(self.coeffs)
+        """The mass P(1), summed once when the polynomial is built."""
+        return self._mass
 
     def __call__(self, x):
         acc = 0
@@ -75,8 +77,9 @@ class QPolynomial:
 
     def moment(self, k: int) -> Fraction:
         """k-th raw moment of the normalised coefficient distribution."""
-        total = sum(c * (self.offset + i) ** k for i, c in enumerate(self.coeffs))
-        return Fraction(total, self.at_one())
+        exponents = range(self.offset, self.offset + len(self.coeffs))
+        total = sum(map(mul, self.coeffs, map(pow, exponents, repeat(k))))
+        return Fraction(total, self._mass)
 
     def to_json(self) -> dict:
         return {"offset": self.offset, "coeffs": [str(c) for c in self.coeffs]}
@@ -105,14 +108,22 @@ def _q_ratio(numerator: Sequence[int], denominator: Sequence[int]) -> np.ndarray
     otherwise an AssertionError is raised before any arithmetic.  Its degree
     is then D = sum(k) - sum(h), and since 1 - q^-k = -q^-k (1 - q^k),
     q^D P(1/q) = (-1)^(#numerator - #denominator) P: the coefficients are a
-    signed palindrome.  Only c_0..c_(D//2) are built, as one array of power
-    series mod q^(D//2 + 1).  The numerators go in ascending, then the
-    factors 1 + q^h of the pairs k = 2h, in int64 while that is exact and in
-    Python ints after.  Then the other hooks are divided out largest first,
+    signed palindrome.  Only c_0..c_(D//2) are built, as power series mod
+    q^(D//2 + 1).  The numerators go in ascending, then the factors 1 + q^h
+    of the pairs k = 2h.  Then the other hooks are divided out largest first,
     each by the recurrence out[i] = c[i] + out[i - h] (a cumulative sum down
     each residue class mod h).  With every factor in, each partial quotient
     is P times the hook factors still to divide: a polynomial, as in exact
     division.  The upper half is the lower one mirrored, with that sign.
+
+    The series is one int64 array of base-2^32 limbs, c_i = sum_j
+    limbs[j, i] 2^(32 j).  Every step is linear, so it acts on each row alike.
+    `bound` caps max |limb|: a shifted step at most doubles it, a cumulative
+    sum multiplies it by the longest residue class, ceil(half / h).  Before a
+    step could take it past 2^62 the limbs are carried (_carry) and the bound
+    drops to 2^32 (so half must stay below 2^30).  While one row suffices it is the law; otherwise the
+    carried rows are the little-endian two's-complement bytes of each
+    coefficient, read back by int.from_bytes.
     """
     held = Counter(d for k in numerator for d in _divisors(k))
     held.subtract(d for h in denominator for d in _divisors(h))
@@ -127,21 +138,51 @@ def _q_ratio(numerator: Sequence[int], denominator: Sequence[int]) -> np.ndarray
     den.subtract(doubled)
     steps = [(k, np.subtract) for k in sorted(num.elements()) if k < half]
     steps += [(h, np.add) for h in sorted(doubled.elements()) if h < half]
-    coeffs = np.zeros(half, dtype=np.int64)
-    coeffs[0] = 1
+    steps += [(h, None) for h in sorted((h for h in den.elements() if h < half), reverse=True)]
+    limbs = np.zeros((1, half), dtype=np.int64)
+    limbs[0, 0] = 1
+    bound = 1
     for e, op in steps:
-        # a step at most doubles the largest |c|, so int64 is exact below 2^62
-        if coeffs.dtype != object and np.abs(coeffs).max() >= 1 << 62:
-            coeffs = coeffs.astype(object)
-        coeffs[e:] = op(coeffs[e:], coeffs[:half - e])
-    coeffs = coeffs.astype(object)
-    for h in sorted((h for h in den.elements() if h < half), reverse=True):
-        padded = np.concatenate([coeffs, np.zeros(-half % h, dtype=object)])
-        coeffs = padded.reshape(-1, h).cumsum(axis=0).ravel()[:half]
-    upper = coeffs[:degree + 1 - half][::-1]
+        growth = -(-half // e) if op is None else 2
+        if bound * growth > 1 << 62:
+            limbs, bound = _carry(limbs), 1 << 32
+        bound *= growth
+        if op is None:
+            whole = half // e * e
+            classes = limbs[:, :whole].reshape(len(limbs), -1, e)
+            np.cumsum(classes, axis=1, out=classes)
+            limbs[:, whole:] += limbs[:, whole - e:half - e]
+        else:
+            limbs[:, e:] = op(limbs[:, e:], limbs[:, :half - e])
+    if len(limbs) == 1:
+        lower = limbs[0].tolist()
+    else:
+        limbs = _carry(limbs)
+        records = np.ascontiguousarray(limbs.T, dtype="<u4").view(f"V{4 * len(limbs)}")
+        lower = list(map(_from_le_bytes, records.ravel().tolist()))
+    upper = lower[:degree + 1 - half][::-1]
     if (len(numerator) - len(denominator)) % 2:
-        upper = -upper
-    return np.concatenate([coeffs, upper])
+        upper = [-c for c in upper]
+    return np.array(lower + upper, dtype=object)
+
+
+_from_le_bytes = functools.partial(int.from_bytes, byteorder="little", signed=True)
+
+
+def _carry(limbs: np.ndarray) -> np.ndarray:
+    """The same values with every row but the top in [0, 2^32) and the top
+    in [-2^31, 2^31), a row appended when the top leaves that range.
+
+    The floor shift >> carries negative limbs too.  Entries up to 2^62 in
+    magnitude carry at most 2^30 into the next row, so nothing overflows.
+    """
+    for j in range(len(limbs) - 1):
+        limbs[j + 1] += limbs[j] >> 32
+        limbs[j] &= 0xFFFFFFFF
+    if ((limbs[-1] + (1 << 31)) >> 32).any():
+        limbs = np.vstack([limbs, limbs[-1] >> 32])
+        limbs[-2] &= 0xFFFFFFFF
+    return limbs
 
 
 @functools.cache
@@ -182,7 +223,7 @@ def maj_polynomial(lam: Partition, exact_cap: int = BIGINT_CAP) -> QPolynomial:
     poly = QPolynomial(_q_ratio(*_ratio_factors(lam)).tolist(), b_stat(lam))
     if poly.at_one() != count_standard_tableaux(lam):
         raise AssertionError("polynomial mass does not match the hook count")
-    if any(c < 0 for c in poly.coeffs):
+    if min(poly.coeffs) < 0:
         raise AssertionError("negative coefficient in a maj polynomial")
     return poly
 

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from majmeter import asymptotics, tableaux
-from majmeter.cli import build_parser, main, parse_args
+from majmeter import asymptotics, exact_dist, tableaux
+from majmeter.cli import _json_default, build_parser, main, parse_args
+from majmeter.errors import DegenerateDistribution
 from majmeter.families import family, staircase, three_row, two_row
 from majmeter.partitions import Partition
 
@@ -118,6 +119,27 @@ class TestDist:
         assert payload["coeffs"] == ["1"]
         assert payload["offset"] == 0
         assert payload["range"] == [0, 0]
+
+    @pytest.mark.parametrize("lam", [Partition([1]), Partition([3, 1]), Partition([5, 3, 1]), two_row(60)])
+    def test_json_bytes_match_the_indented_encoder(self, capsys, lam):
+        # the payload built as cmd_dist builds it, encoded by json itself
+        poly = exact_dist.maj_polynomial(lam)
+        try:
+            d_kol = exact_dist.kolmogorov_distance_to_normal(poly)
+        except DegenerateDistribution:
+            d_kol = None
+        payload = {
+            "partition": list(lam.rows),
+            **poly.to_json(),
+            "count": str(poly.at_one()),
+            "mean": exact_dist.mean_maj(lam),
+            "variance": exact_dist.var_maj(lam),
+            "range": list(exact_dist.range_maj(lam)),
+            "d_kol": d_kol,
+        }
+        code, out, _ = run(capsys, "dist", "-p", ",".join(map(str, lam.rows)), "--format", "json")
+        assert code == 0
+        assert out == json.dumps(payload, default=_json_default, indent=2) + "\n"
 
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "dist", "-p", "2,x")

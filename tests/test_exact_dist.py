@@ -536,3 +536,25 @@ class TestQRatio:
             left = poly(q) * math.prod(q**h - 1 for h in hook_list(lam))
             right = q ** b_stat(lam) * math.prod(q**k - 1 for k in range(1, n + 1))
             assert left == right
+
+    @pytest.mark.parametrize("k", [63, 64, 65, 96, 97, 128, 130])
+    def test_signed_binomials_across_limb_rows(self, k):
+        # (1 - q)^k: alternating signs, so negative limbs are carried and the
+        # top row is negative; past 2^62 and 2^94 rows are appended
+        expected = [(-1) ** i * math.comb(k, i) for i in range(k + 1)]
+        assert _q_ratio([1] * k, []).tolist() == expected
+
+    @pytest.mark.parametrize("n", [60, 100])
+    def test_sn_against_a_product_of_q_integers(self, n):
+        # n - 1 divisions by 1 - q, each a cumsum over a class of ~n^2/4 terms
+        coeffs = [1]
+        for k in range(2, n + 1):
+            coeffs = [sum(coeffs[max(i - k + 1, 0):i + 1]) for i in range(len(coeffs) + k - 1)]
+        assert maj_polynomial_sn(n) == QPolynomial(coeffs)
+
+    @settings(deadline=None, max_examples=40)
+    @given(partition_strategy(max_n=80))
+    def test_matches_reference_on_multi_row_laws(self, lam):
+        numerator, denominator = exact_dist._ratio_factors(lam)
+        expected = _q_ratio_reference(numerator, denominator)
+        assert _q_ratio(numerator, denominator).tolist() == expected
