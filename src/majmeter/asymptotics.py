@@ -12,7 +12,7 @@ need the halved domain (|Im z| < pi on the imaginary axis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,12 +21,11 @@ import numpy as np
 from .errors import (
     DegenerateParameter,
     DomainError,
-    EmptyPartition,
     OutOfRange,
     QuadratureError,
     ZeroAtomUnsupported,
 )
-from .partitions import DiscreteMeasure, Partition
+from .partitions import DiscreteMeasure, Partition, _require_atom, _require_nonempty
 
 TWO_PI = 2.0 * math.pi
 
@@ -309,12 +308,14 @@ def psi_integrand(x: float, y: float, z: complex) -> complex:
 
     Away from the axes this is (phi((y-x)z) - phi(yz) - phi(-xz)) / (xy); the
     limit branches fire when |xy| < 1e-6 and give (1 - (zy/2) coth(zy/2))/y^2,
-    its mirror image, or -z^2/12 at the origin.
+    its mirror image, or -z^2/12 at the origin.  z must lie in the halved
+    domain (DomainError) and x, y in [-1, 1], as atom locations of a measure
+    (InvalidSimplexPoint).
     """
     z = complex(z)
     _check_half_domain(z)
-    if abs(x) > 1 or abs(y) > 1:
-        raise ValueError("atom coordinates must lie in [-1, 1]")
+    _require_atom(x)
+    _require_atom(y)
     return complex(_psi_pairs(np.array([x], dtype=float), np.array([y], dtype=float), z)[0])
 
 
@@ -402,15 +403,7 @@ class LDReport:
     estimate: float
 
     def to_dict(self) -> dict:
-        return {
-            "y": self.y,
-            "side": self.side,
-            "h": self.h,
-            "rate": self.rate,
-            "psi_at_h": self.psi_at_h,
-            "lambda2_at_h": self.lambda2_at_h,
-            "estimate": self.estimate,
-        }
+        return asdict(self)
 
 
 def ld_estimate(
@@ -456,9 +449,8 @@ def berry_esseen_bound(lam: Partition) -> tuple[float, bool]:
     The bound needs n >= 4 and neither the first row nor the first column to
     hold more than half of the cells.
     """
+    _require_nonempty(lam)
     n = lam.n
-    if n == 0:
-        raise EmptyPartition("bound needs a nonempty partition")
     widest = max(lam.rows[0], len(lam.rows))  # first row vs first column
     return 30.0 / math.sqrt(n), n >= 4 and 2 * widest <= n
 

@@ -10,8 +10,8 @@ file, then built-in default. A config key for a flag the subcommand does not
 take is ignored, since one file serves every subcommand.
 
 Exit codes: 0 success, 2 usage or parse failure (including a bad
-MAJMETER_CONFIG file), 3 resource cap exceeded, 4 domain or range violation
-or a quadrature that did not converge.
+MAJMETER_CONFIG file), 3 resource cap exceeded or out of memory, 4 domain or
+range violation or a quadrature that did not converge.
 """
 
 from __future__ import annotations
@@ -235,8 +235,6 @@ def cmd_cumulants(args) -> int:
 
 def cmd_sample(args) -> int:
     lam = parse_partition(args.partition, strict=args.strict)
-    if args.trials < 1:
-        raise ValueError("trials must be >= 1")
     counts = tableaux.maj_histogram_mc(lam, args.trials, args.seed)
     lines = [
         f"# partition={','.join(map(str, lam.rows))}",
@@ -257,13 +255,17 @@ def cmd_ld(args) -> int:
         limit_omega = _omega_from_json(args.omega)
     mu_limit = measure_of(limit_omega)
     y = families.parse_fraction(args.y, "--y")
+    try:
+        y_float = float(y)
+    except OverflowError:  # past float range: ld_estimate rejects it as out of range
+        y_float = math.inf if y > 0 else -math.inf
     quad = _quad_from(args)
     header, mode = "n,exact_tail,estimate,rate,ratio\n", "w"
     for n in _parse_n_list(args.n):
         lam = build(n)
         mu_n = measure_of(thoma_embed(lam))
         report = asymptotics.ld_estimate(
-            mu_n, mu_limit, float(y), n, side=args.side, quad=quad
+            mu_n, mu_limit, y_float, n, side=args.side, quad=quad
         )
         exact_text = ""
         ratio_text = ""
@@ -430,6 +432,9 @@ def main(argv=None) -> int:
         return globals()[f"cmd_{args.command}"](args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:  # e.g. a family shape too large to build, such as staircase(10^20)
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,15 +15,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .asymptotics import _check_half_domain, bernoulli, varphi
-from .errors import (
-    CapExceeded,
-    DegenerateDistribution,
-    EmptyPartition,
-    OddOrder,
-    OutOfRange,
-)
+from .errors import CapExceeded, DegenerateDistribution, OddOrder, OutOfRange
 from .partitions import (
     Partition,
+    _require_nonempty,
     b_stat,
     count_standard_tableaux,
     descent_coordinates,
@@ -78,7 +73,12 @@ class QPolynomial:
     def moment(self, k: int) -> Fraction:
         """k-th raw moment of the normalised coefficient distribution."""
         exponents = range(self.offset, self.offset + len(self.coeffs))
-        total = sum(map(mul, self.coeffs, map(pow, exponents, repeat(k))))
+        return self._normalised(sum(map(mul, self.coeffs, map(pow, exponents, repeat(k)))))
+
+    def _normalised(self, total: int) -> Fraction:
+        """total / P(1): the one division by the mass, which must be positive."""
+        if self._mass <= 0:
+            raise ValueError("polynomial must have positive mass")
         return Fraction(total, self._mass)
 
     def to_json(self) -> dict:
@@ -212,9 +212,8 @@ def maj_polynomial(lam: Partition, exact_cap: int = BIGINT_CAP) -> QPolynomial:
     _q_ratio, which proves the division exact before it starts; the mass is
     then checked against the hook-length count.
     """
+    _require_nonempty(lam)
     n = lam.n
-    if n < 1:
-        raise EmptyPartition("need a nonempty partition")
     if n > exact_cap:
         raise CapExceeded(
             f"|lambda| = {n} exceeds the exact big-integer cap {exact_cap}; "
@@ -241,8 +240,7 @@ def maj_polynomial_float(lam: Partition) -> tuple[int, np.ndarray]:
     mean, variance, central CDF values) to 1e-12 relative.  Far-tail counts
     are noise and may be slightly negative; use the exact route for those.
     """
-    if lam.n < 1:
-        raise EmptyPartition("need a nonempty partition")
+    _require_nonempty(lam)
     numerator, denominator = _ratio_factors(lam)
     degree = sum(numerator) - sum(denominator)
     size = _smooth_size(degree + 1)
@@ -327,8 +325,6 @@ def cumulants_from_polynomial(poly: QPolynomial, r: int) -> tuple[Fraction, ...]
     kappa_s = m_s - sum_{j<s} C(s-1, j-1) kappa_j m_{s-j} on the raw moments."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    if poly.at_one() <= 0:
-        raise ValueError("polynomial must have positive mass")
     moments = [Fraction(1)] + [poly.moment(k) for k in range(1, r + 1)]
     kappa = [Fraction(0)] * (r + 1)
     for s in range(1, r + 1):
@@ -346,16 +342,14 @@ def cumulant_from_polynomial(poly: QPolynomial, r: int) -> Fraction:
 def mean_maj(lam: Partition) -> Fraction:
     """Closed-form mean n(n-1)/4 - p2/4 with p2 the second signed Frobenius
     power sum."""
-    if lam.n < 1:
-        raise EmptyPartition("need a nonempty partition")
+    _require_nonempty(lam)
     n = lam.n
     return Fraction(n * (n - 1), 4) - frobenius_moment(lam, 2) / 4
 
 
 def var_maj(lam: Partition) -> Fraction:
     """Closed-form variance (p1^3 - p3 - 3/2 p1^2 + 3/4 p1) / 36."""
-    if lam.n < 1:
-        raise EmptyPartition("need a nonempty partition")
+    _require_nonempty(lam)
     p1 = Fraction(lam.n)
     p3 = frobenius_moment(lam, 3)
     return (p1 ** 3 - p3 - Fraction(3, 2) * p1 ** 2 + Fraction(3, 4) * p1) / 36
@@ -363,8 +357,7 @@ def var_maj(lam: Partition) -> Fraction:
 
 def range_maj(lam: Partition) -> tuple[int, int]:
     """Minimum and maximum of maj: (b(lam), n(n-1)/2 - sum C(row, 2))."""
-    if lam.n < 1:
-        raise EmptyPartition("need a nonempty partition")
+    _require_nonempty(lam)
     n = lam.n
     top = n * (n - 1) // 2 - sum(r * (r - 1) // 2 for r in lam.rows)
     return b_stat(lam), top
@@ -429,7 +422,7 @@ def tail_probability(poly: QPolynomial, threshold: int, side: str = "upper") -> 
         raise ValueError("side must be 'upper' or 'lower'")
     at = threshold - poly.offset  # index of the threshold exponent
     tail = poly.coeffs[max(at, 0):] if side == "upper" else poly.coeffs[:max(at + 1, 0)]
-    return Fraction(sum(tail), poly.at_one())
+    return poly._normalised(sum(tail))
 
 
 def kolmogorov_distance_to_normal(poly: QPolynomial) -> float:
@@ -460,8 +453,7 @@ def kolmogorov_distance_to_normal(poly: QPolynomial) -> float:
 def log_laplace_exact(lam: Partition, z: complex) -> complex:
     """Exact log E[e^{z maj / n}] assembled from the kernel:
     b(lam) z / n + sum_k varphi(kz/n) - sum_hooks varphi(hz/n)."""
-    if lam.n < 1:
-        raise EmptyPartition("need a nonempty partition")
+    _require_nonempty(lam)
     z = complex(z)
     _check_half_domain(z)
     n = lam.n

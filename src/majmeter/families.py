@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable
 
-from .partitions import Partition, ThomaParam
+from .partitions import SIMPLEX_TOL, Partition, ThomaParam
 
 
 def parse_fraction(text: str, what: str) -> Fraction:
@@ -23,6 +23,9 @@ def parse_fraction(text: str, what: str) -> Fraction:
 
 
 def rows_from_frequencies(n: int, freqs) -> Partition:
+    """Rows floor(n f) for the nonnegative, nonincreasing frequencies f, the
+    remainder on the first row; ValueError unless the frequencies sum to 1
+    within SIMPLEX_TOL."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if any(f < 0 for f in freqs) or any(
@@ -31,7 +34,7 @@ def rows_from_frequencies(n: int, freqs) -> Partition:
         raise ValueError("frequencies must be nonnegative and nonincreasing")
     # the remainder lands on the first row, so it must be O(1): frequencies
     # that sum below 1 would silently distort the limit shape
-    if abs(sum(freqs) - 1) > 1e-9:
+    if abs(sum(freqs) - 1) > SIMPLEX_TOL:
         raise ValueError("row frequencies must sum to 1")
     rows = [int(n * f) for f in freqs]
     rows[0] += n - sum(rows)
@@ -75,8 +78,6 @@ def family(spec: str) -> tuple[Callable[[int], Partition], ThomaParam]:
             freqs = tuple(parse_fraction(tok, "three-row frequency") for tok in args.split(","))
         else:
             freqs = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
-        if len(freqs) != 3:
-            raise ValueError("three-row family needs exactly three frequencies")
         limit = ThomaParam(freqs, ())
         return (lambda n: three_row(n, freqs)), limit
     if name == "staircase":

@@ -19,6 +19,8 @@ from .errors import EmptyPartition, InvalidRow, InvalidSimplexPoint, TooShort
 
 Scalar = Union[int, float, Fraction]
 
+# the one tolerance of the simplex rules: Thoma parameters, measures, row
+# frequencies and mass on {-1, 1}
 SIMPLEX_TOL = 1e-12
 
 
@@ -69,6 +71,12 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition{self.rows}"
+
+
+def _require_nonempty(lam: Partition) -> None:
+    """EmptyPartition unless lam has at least one cell."""
+    if lam.n < 1:
+        raise EmptyPartition("need a nonempty partition")
 
 
 def parse_partition(text: str, strict: bool = False) -> Partition:
@@ -156,10 +164,6 @@ class FrobeniusCoords:
 
     a: tuple[Fraction, ...]
     b: tuple[Fraction, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.a)
 
 
 def frobenius(lam: Partition) -> FrobeniusCoords:
@@ -255,8 +259,7 @@ class ThomaParam:
 
 def thoma_embed(lam: Partition) -> ThomaParam:
     """Thoma parameter of a partition: Frobenius coordinates divided by n."""
-    if lam.n == 0:
-        raise EmptyPartition("cannot embed the empty partition")
+    _require_nonempty(lam)
     fc = frobenius(lam)
     n = lam.n
     return ThomaParam(
@@ -277,8 +280,7 @@ class DiscreteMeasure:
     def __init__(self, atoms: Sequence[tuple[Scalar, Scalar]]):
         merged: dict = {}
         for x, w in atoms:
-            if abs(x) > 1:
-                raise InvalidSimplexPoint(f"atom location {x} outside [-1, 1]")
+            _require_atom(x)
             if w < 0:
                 raise InvalidSimplexPoint(f"negative atom weight {w}")
             merged[x] = merged.get(x, 0) + w
@@ -305,15 +307,21 @@ class DiscreteMeasure:
                 return w
         return 0
 
-    def concentrated_on_pm1(self, tol: float = 1e-12) -> bool:
-        """True when (almost) all mass sits at -1 or +1."""
-        return sum(w for x, w in self.atoms if abs(abs(x) - 1) <= tol) >= 1 - tol
+    def concentrated_on_pm1(self) -> bool:
+        """True when all but SIMPLEX_TOL of the mass lies within SIMPLEX_TOL of +-1."""
+        return sum(w for x, w in self.atoms if abs(abs(x) - 1) <= SIMPLEX_TOL) >= 1 - SIMPLEX_TOL
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DiscreteMeasure) and self.atoms == other.atoms
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure({list(self.atoms)!r})"
+
+
+def _require_atom(x: Scalar) -> None:
+    """InvalidSimplexPoint unless the atom location x lies in [-1, 1]."""
+    if abs(x) > 1:
+        raise InvalidSimplexPoint(f"atom location {x} outside [-1, 1]")
 
 
 def measure_of(omega: ThomaParam) -> DiscreteMeasure:
@@ -344,8 +352,8 @@ def hook_multiset_identity(lam: Partition, n: int) -> tuple[list[int], list[int]
     return sorted(left), sorted(right)
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, largest first part first."""
+def partitions_of(n: int) -> Iterator[Partition]:
+    """All partitions of n in reverse lexicographic order, (n) first."""
     if n < 0:
         raise ValueError("n must be nonnegative")
 
@@ -357,5 +365,5 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    for rows in gen(n, max_part if max_part is not None else n):
+    for rows in gen(n, n):
         yield Partition(rows)

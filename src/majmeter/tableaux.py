@@ -13,10 +13,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceeded
-from .partitions import Partition, conjugate
+from .partitions import Partition, _require_nonempty, conjugate
 
 RNG_NAME = "PCG64"
-DEFAULT_ENUM_CAP = 14
+ENUM_CAP = 14  # most cells the exhaustive routines take (at most 69 498 tableaux)
 _BLOCK_CELLS = 1 << 19  # values placed per lockstep block of hook walks
 
 
@@ -84,13 +84,12 @@ def maj(tableau: StandardTableau) -> int:
     return sum(descent_set(tableau))
 
 
-def enumerate_standard(
-    lam: Partition, cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[StandardTableau]:
-    """Backtracking enumeration placing 1..n; yields each tableau exactly once."""
+def enumerate_standard(lam: Partition) -> Iterator[StandardTableau]:
+    """Backtracking enumeration placing 1..n; yields each tableau exactly once.
+    At most ENUM_CAP cells (CapExceeded)."""
     n = lam.n
-    if n > cap:
-        raise CapExceeded(f"|lambda| = {n} exceeds the enumeration cap {cap}")
+    if n > ENUM_CAP:
+        raise CapExceeded(f"|lambda| = {n} exceeds the enumeration cap {ENUM_CAP}")
     rows = lam.rows
     nrows = len(rows)
     fill = [0] * nrows
@@ -110,11 +109,12 @@ def enumerate_standard(
     yield from place(1)
 
 
-def maj_multiset(lam: Partition, cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
-    """Histogram of maj over all standard tableaux (exhaustive oracle)."""
+def maj_multiset(lam: Partition) -> dict[int, int]:
+    """Histogram of maj over all standard tableaux (exhaustive oracle).
+    At most ENUM_CAP cells (CapExceeded)."""
     n = lam.n
-    if n > cap:
-        raise CapExceeded(f"|lambda| = {n} exceeds the enumeration cap {cap}")
+    if n > ENUM_CAP:
+        raise CapExceeded(f"|lambda| = {n} exceeds the enumeration cap {ENUM_CAP}")
     rows = lam.rows
     nrows = len(rows)
     fill = [0] * nrows
@@ -219,8 +219,7 @@ def _row_blocks(lam: Partition, trials: int, seed: int) -> Iterator[np.ndarray]:
 
 def sample_uniform(lam: Partition, seed: int) -> StandardTableau:
     """Deterministic-for-seed uniform sample from the standard tableaux of lam."""
-    if lam.n < 1:
-        raise ValueError("cannot sample from the empty partition")
+    _require_nonempty(lam)
     (block,) = _row_blocks(lam, 1, seed)
     grid: list[list[int]] = [[] for _ in lam.rows]
     for v, i in enumerate(block[0].tolist(), start=1):

@@ -43,6 +43,7 @@ from majmeter.exact_dist import bernoulli
 from majmeter.errors import (
     DegenerateParameter,
     DomainError,
+    InvalidSimplexPoint,
     OutOfRange,
     QuadratureError,
     ZeroAtomUnsupported,
@@ -492,6 +493,12 @@ class TestPsi:
         general = psi_integrand(2e-6, y, z)
         limit = psi_integrand(0, y, z)
         assert abs(general - limit) < 1e-5
+
+    @pytest.mark.parametrize("x, y", [(1.5, 0.2), (0.2, -1.5), (-2.0, 3.0)])
+    def test_atom_outside_the_unit_interval(self, x, y):
+        # the rule and the message of DiscreteMeasure
+        with pytest.raises(InvalidSimplexPoint, match=r"outside \[-1, 1\]"):
+            psi_integrand(x, y, 1)
 
     def test_delta_zero_closed_form(self):
         for z in (1.0, 0.5 + 0.5j, -1.2 + 0.1j, 2.0):

@@ -1,14 +1,24 @@
+import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from majmeter import asymptotics, exact_dist, tableaux
+from majmeter import asymptotics, exact_dist, families, tableaux
 from majmeter.cli import _json_default, build_parser, main, parse_args
 from majmeter.errors import DegenerateDistribution
+from majmeter.exact_dist import maj_polynomial
 from majmeter.families import family, staircase, three_row, two_row
 from majmeter.partitions import Partition
+
+from conftest import partition_strategy
 
 
 def run(capsys, *argv):
@@ -169,6 +179,16 @@ class TestCumulants:
         assert code == 2 and out == ""
         assert "--max-order" in err and "Traceback" not in err
 
+    def test_exact_column_is_the_moment_route(self, capsys):
+        code, out, err = run(capsys, "cumulants", "-p", "4,2,2,1", "--max-order", "6")
+        assert code == 0 and err == ""
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert header == ["order", "exact", "predicted"]
+        assert rows[0] == ["1", "37/2", ""]
+        kappa = exact_dist.cumulants_from_polynomial(maj_polynomial(Partition((4, 2, 2, 1))), 6)
+        assert [row[0] for row in rows] == ["1", "2", "3", "4", "5", "6"]
+        assert [Fraction(row[1]) for row in rows] == list(kappa)
+
 
 class TestSample:
     def test_metadata_and_determinism(self, capsys):
@@ -181,6 +201,12 @@ class TestSample:
     def test_zero_trials(self, capsys):
         code, _, err = run(capsys, "sample", "-p", "2,1", "--trials", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_names_the_rule(self, capsys, trials):
+        code, out, err = run(capsys, "sample", "-p", "2,1", "--trials", trials)
+        assert code == 2 and out == ""
+        assert err == "error: trials must be >= 1\n"
 
 
 class TestLd:
@@ -310,6 +336,34 @@ class TestLd:
         row = out.splitlines()[1].split(",")
         assert row[1] == "" and row[4] == ""
 
+    @pytest.mark.parametrize("family, y, n", [
+        ("two-row", "0.02", "20,40"), ("three-row", "0.03", "24"), ("staircase", "0.04", "28"),
+    ])
+    def test_lower_side_equals_upper_side(self, capsys, family, y, n):
+        # the law of maj is palindromic and Lambda is even, so both tails agree
+        argv = ["ld", "--family", family, "--y", y, "--n", n]
+        code, upper, err = run(capsys, *argv, "--side", "upper")
+        assert code == 0 and err == ""
+        code, lower, err = run(capsys, *argv, "--side", "lower")
+        assert code == 0 and err == ""
+        assert lower == upper
+
+    @pytest.mark.parametrize("y, needle", [
+        ("1e400", "got inf"), ("1e300", "got 1e+300"), ("-1e400", "must be positive"),
+    ])
+    def test_deviation_past_float_range_is_out_of_range(self, capsys, y, needle):
+        code, out, err = run(capsys, "ld", "--family", "two-row", f"--y={y}", "--n", "20")
+        assert code == 4 and out == ""
+        assert err.startswith("error:") and needle in err and "Traceback" not in err
+
+    def test_omega_above_the_simplex_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "ld", "--family", "two-row", "--y", "0.02", "--n", "20",
+            "--omega", '{"alpha":[0.7,0.5]}',
+        )
+        assert code == 2 and out == ""
+        assert err == "error: alpha and beta must sum to at most 1\n"
+
 
 class TestBkol:
     def test_rows(self, capsys):
@@ -332,6 +386,23 @@ class TestBkol:
         code, out, err = run(capsys, "bkol", "--family", "three-row:1/0,1/2,1/2", "--n", "20")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "frequency '1/0'" in err and "Traceback" not in err
+
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        # staircase(10^20) asks for a list of 1.4e10 rows; the MemoryError is
+        # raised here without the allocation, which not every OS refuses
+        def no_memory(n):
+            raise MemoryError
+
+        monkeypatch.setattr(families, "staircase", no_memory)
+        code, out, err = run(capsys, "bkol", "--family", "staircase", "--n", "20")
+        assert code == 3 and out == ""
+        assert err == "error: out of memory\n"
+
+    @pytest.mark.parametrize("command", [["bkol"], ["ld", "--y", "0.03"]])
+    def test_three_row_needs_three_frequencies(self, capsys, command):
+        code, out, err = run(capsys, *command, "--family", "three-row:1/2,1/2", "--n", "20")
+        assert code == 2 and out == ""
+        assert err == "error: three-row family needs exactly three frequencies\n"
 
     def test_flagged_family(self, capsys):
         code, out, _ = run(capsys, "bkol", "--family", "staircase", "--n", "3")
@@ -602,3 +673,146 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "maj,count" in proc.stdout
+
+
+# --- fuzz of the entry point -------------------------------------------------
+# argv drawn past the hand-picked cases above: odd partitions, size lists,
+# deviations, Thoma parameters, quadrature settings and frequencies. Half the
+# examples draw only valid values, so that they reach the computations; the
+# other half mix in invalid ones and leave flags out. Every size is bounded
+# so that one example stays cheap: at most 30 cells where a shape is built
+# (10^20 only for the two- and three-row families, which keep three rows), at
+# most 2000 trials, at most 128 starting quadrature nodes and 2 doublings.
+# staircase(10^20) would ask for 1.4e10 rows, which fails at once only where
+# the OS refuses to overcommit; its exit code is tested apart.
+
+def _csv(values):
+    return st.lists(values, min_size=1, max_size=4).map(",".join)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+@st.composite
+def _thoma_json(draw):
+    """A point of the Thoma simplex as "p/q" strings, its mass on {-1, 1} included."""
+    weights = draw(st.lists(st.integers(0, 6), max_size=5))
+    denominator = sum(weights) + draw(st.integers(0 if sum(weights) else 1, 6))
+    split = draw(st.integers(0, len(weights)))
+    alpha, beta = sorted(weights[:split], reverse=True), sorted(weights[split:], reverse=True)
+    return json.dumps({"alpha": [f"{w}/{denominator}" for w in alpha],
+                       "beta": [f"{w}/{denominator}" for w in beta]})
+
+
+FUZZ_ENTRY = st.one_of(
+    st.floats(-0.2, 1.2), st.integers(-1, 2), st.sampled_from(["1/3", "2/5", "1/0", "x", None]),
+)
+# flag -> (valid values, invalid values); None for a switch
+FUZZ_VALUES = {
+    "--partition": (
+        partition_strategy(max_n=30).map(lambda lam: ",".join(map(str, lam.rows))),
+        st.one_of(_csv(_ints(-2, 7)),  # unsorted, zero or negative rows
+                  st.sampled_from(["", " ", ",", "2,x", "1.5", "3,,1", "+2", "-0"])),
+    ),
+    "--strict": None,
+    "--format": (st.sampled_from(["csv", "json"]), st.just("xml")),
+    "--exact-cap": (_ints(0, 300), _ints(-3, -1)),
+    "--max-order": (_ints(1, 40), _ints(-2, 0)),
+    "--trials": (_ints(1, 2000), _ints(-2, 0)),
+    "--seed": (_ints(0, 2**70), _ints(-3, -1)),
+    "--family": (
+        st.sampled_from(["two-row", "three-row", "staircase", " Two-Row ",
+                         "three-row:1/3,1/3,1/3", "three-row:0.5,0.3,0.2", "three-row:1,0,0"]),
+        st.one_of(
+            st.sampled_from(["squares", "three-row:1/2,1/2", "three-row:1/4,1/2,1/4"]),
+            _csv(st.sampled_from(["1/2", "1/3", "1/6", "0.5", "0.3", "1/0", "-1/2", "x"]))
+            .map(lambda freqs: "three-row:" + freqs),
+        ),
+    ),
+    "--y": (
+        st.one_of(st.floats(1e-4, 0.3).map(repr), st.sampled_from(["1/40", "1e-20", "1e-400"])),
+        st.sampled_from(["0", "-1", "1/0", "nan", "1e400", "x"]),
+    ),
+    "--n": "sizes",
+    "--side": (st.sampled_from(["upper", "lower"]), st.just("both")),
+    "--omega": (_thoma_json(), st.one_of(
+        st.fixed_dictionaries({}, optional={"alpha": st.lists(FUZZ_ENTRY, max_size=4),
+                                            "beta": st.lists(FUZZ_ENTRY, max_size=4)})
+        .map(json.dumps),
+        st.sampled_from(MALFORMED_OMEGAS))),
+    "--quad-nodes": (_ints(8, 128), _ints(-2, 7)),
+    "--quad-tol": (st.sampled_from(["1e-12", "1e-10", "1e-8", "1e-6"]),
+                   st.sampled_from(["1e-30", "0", "-1", "nan", "inf"])),
+    "--quad-max-doublings": (_ints(1, 2), _ints(-1, 0)),
+    "--xis": (_csv(st.floats(-3, 3).map(repr)),
+              _csv(st.one_of(st.floats(-3, 3).map(repr), st.sampled_from(
+                  ["8", "nan", "inf", "1e308", "-1e308", "x", ""])))),
+    "--max-n": (_ints(1, 5), st.sampled_from(["-1", "0", "13", "x"])),
+}
+QUAD_FUZZ = ("--quad-nodes", "--quad-tol", "--quad-max-doublings")
+# subcommand -> (required flags, optional flags)
+FUZZ_COMMANDS = {
+    "dist": (("--partition",), ("--format", "--exact-cap", "--strict")),
+    "cumulants": (("--partition",), ("--max-order", "--strict")),
+    "sample": (("--partition", "--trials"), ("--seed", "--strict")),
+    "ld": (("--family", "--y", "--n"), ("--side", "--omega", *QUAD_FUZZ, "--exact-cap")),
+    "bkol": (("--family", "--n"), ("--exact-cap",)),
+    "bochner": (("--omega", "--xis"), QUAD_FUZZ),
+    "validate": ((), ("--max-n",)),
+}
+
+
+def _sizes(family: str):
+    """--n lists, valid and mixed; 10^20 only where the family keeps three rows."""
+    valid = _ints(1, 30)
+    if "staircase" not in family.lower():
+        valid = st.one_of(valid, st.just("99999999999999999999"))
+    return _csv(valid), _csv(st.one_of(valid, st.sampled_from(["-1", "0", "", "x"])))
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    clean = draw(st.booleans())  # only valid values and every required flag
+    required, optional = FUZZ_COMMANDS[command]
+    argv = [command]
+    for flag in (*required, *optional):
+        # a required flag is left out one time in twenty, any other one in two
+        if flag in required:
+            keep = st.just(True) if clean else st.sampled_from([True] * 19 + [False])
+        else:
+            keep = st.booleans()
+        if not draw(keep):
+            continue
+        values = FUZZ_VALUES[flag]
+        if values is None:
+            argv.append(flag)
+            continue
+        if values == "sizes":
+            values = _sizes("".join(a for a in argv if a.startswith("--family=")))
+        valid, invalid = values
+        value = draw(valid if clean else st.one_of(valid, invalid))
+        # flag=value, so that a value starting with "-" stays a value
+        argv.append(f"{flag}={value}")
+    if not clean and draw(st.sampled_from([False] * 19 + [True])):
+        argv.append("--bogus")
+    return argv
+
+
+@given(fuzz_argv())
+@settings(deadline=None, max_examples=300)
+def test_fuzzed_argv_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("MAJMETER_CONFIG", None)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            assert exc.code == 2, argv
+            return
+    allowed = {0, 1, 2, 3, 4} if argv[0] == "validate" else {0, 2, 3, 4}
+    assert code in allowed, argv
+    if code:
+        assert err.getvalue().startswith("error:"), argv
+    assert "Traceback" not in err.getvalue()

@@ -558,3 +558,20 @@ class TestQRatio:
         numerator, denominator = exact_dist._ratio_factors(lam)
         expected = _q_ratio_reference(numerator, denominator)
         assert _q_ratio(numerator, denominator).tolist() == expected
+
+
+class TestPositiveMass:
+    """Every division by the mass of a law refuses a zero or negative one."""
+
+    @pytest.mark.parametrize("coeffs", [[], [1, -1], [1, -2], [0, -3]])
+    @pytest.mark.parametrize("call", [
+        lambda poly: poly.moment(1),
+        lambda poly: tail_probability(poly, 0, "upper"),
+        lambda poly: tail_probability(poly, 0, "lower"),
+        kolmogorov_distance_to_normal,
+        lambda poly: cumulants_from_polynomial(poly, 4),
+        lambda poly: cumulant_from_polynomial(poly, 2),
+    ])
+    def test_rejected(self, coeffs, call):
+        with pytest.raises(ValueError, match="^polynomial must have positive mass$"):
+            call(QPolynomial(coeffs))

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings
 
+import majmeter
 from majmeter import (
     DiscreteMeasure,
     Partition,
@@ -29,7 +30,7 @@ from majmeter.errors import (
     InvalidSimplexPoint,
     TooShort,
 )
-from majmeter.families import two_row
+from majmeter.families import three_row, two_row
 from majmeter.tableaux import enumerate_standard
 
 from conftest import partition_strategy
@@ -348,3 +349,58 @@ def test_partitions_of_counts():
     known = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22, 9: 30}
     for n, expected in known.items():
         assert sum(1 for _ in partitions_of(n)) == expected
+
+
+class TestInputRules:
+    """Each input rule raises one exception type with one message, and every
+    simplex rule uses one tolerance."""
+
+    @pytest.mark.parametrize("call, extra", [
+        (majmeter.maj_polynomial, ()),
+        (majmeter.maj_polynomial_float, ()),
+        (majmeter.mean_maj, ()),
+        (majmeter.var_maj, ()),
+        (majmeter.range_maj, ()),
+        (majmeter.log_laplace_exact, (0.5,)),
+        (majmeter.berry_esseen_bound, ()),
+        (thoma_embed, ()),
+        (majmeter.sample_uniform, (0,)),
+    ], ids=lambda v: getattr(v, "__name__", ""))
+    def test_every_entry_point_rejects_the_empty_partition(self, call, extra):
+        with pytest.raises(EmptyPartition, match="^need a nonempty partition$"):
+            call(Partition(()), *extra)
+
+    def test_thoma_parameter_above_the_simplex(self):
+        with pytest.raises(InvalidSimplexPoint, match="sum to at most 1"):
+            ThomaParam((0.7, 0.5), ())
+        with pytest.raises(InvalidSimplexPoint, match="sum to at most 1"):
+            ThomaParam((Fraction(1, 2),), (Fraction(1, 2), Fraction(1, 100)))
+        assert ThomaParam((0.5,), (0.5,)).gamma == 0
+
+    @pytest.mark.parametrize("excess, accepted", [(5e-13, True), (1e-10, False)])
+    def test_row_frequencies_and_thoma_parameters_share_one_tolerance(self, excess, accepted):
+        freqs = (0.5 + excess, 0.3, 0.2)
+        if accepted:
+            assert three_row(12, freqs).n == 12
+            assert ThomaParam(freqs, ()).gamma == 0
+        else:
+            with pytest.raises(ValueError, match="sum to 1"):
+                three_row(12, freqs)
+            with pytest.raises(InvalidSimplexPoint):
+                ThomaParam(freqs, ())
+
+    def test_concentration_uses_the_simplex_tolerance(self):
+        assert DiscreteMeasure([(1, 1 - 5e-13), (0.5, 5e-13)]).concentrated_on_pm1()
+        assert DiscreteMeasure([(1 - 5e-13, 0.5), (-1, 0.5)]).concentrated_on_pm1()
+        assert not DiscreteMeasure([(1, 1 - 1e-11), (0.5, 1e-11)]).concentrated_on_pm1()
+        assert not DiscreteMeasure([(1 - 1e-11, 0.5), (-1, 0.5)]).concentrated_on_pm1()
+
+    @pytest.mark.parametrize("x", [1.5, -1.0000001, Fraction(3, 2)])
+    def test_atom_outside_the_unit_interval(self, x):
+        with pytest.raises(InvalidSimplexPoint, match=r"outside \[-1, 1\]"):
+            DiscreteMeasure([(x, 1)])
+
+    def test_partitions_of_in_reverse_lexicographic_order(self):
+        assert [lam.rows for lam in partitions_of(4)] == [
+            (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        assert [lam.rows for lam in partitions_of(0)] == [()]

@@ -24,6 +24,7 @@ from majmeter.errors import CapExceeded
 from majmeter.exact_dist import b_stat, maj_polynomial, range_maj
 from majmeter.tableaux import (
     _BLOCK_CELLS,
+    ENUM_CAP,
     maj_multiset,
     perm_descents,
     sample_row_sequences,
@@ -64,6 +65,17 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             next(iter(enumerate_standard(Partition((15,)))))
+
+    def test_one_cap_for_both_exhaustive_routines(self):
+        at_cap = Partition((ENUM_CAP,))
+        assert maj_multiset(at_cap) == {0: 1}
+        assert len(list(enumerate_standard(at_cap))) == 1
+        past = Partition((ENUM_CAP, 1))
+        message = f"exceeds the enumeration cap {ENUM_CAP}"
+        with pytest.raises(CapExceeded, match=message):
+            maj_multiset(past)
+        with pytest.raises(CapExceeded, match=message):
+            next(iter(enumerate_standard(past)))
 
     def test_counts_match_hook_formula(self):
         for n in range(1, 9):
@@ -132,6 +144,14 @@ class TestSampler:
     def test_deterministic(self):
         lam = Partition((4, 2, 2, 1))
         assert sample_uniform(lam, 123) == sample_uniform(lam, 123)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one(self, trials):
+        lam = Partition((2, 1))
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            maj_histogram_mc(lam, trials, 0)
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            list(sample_row_sequences(lam, trials, 0))
 
     def test_valid_tableau(self):
         for seed in range(20):
