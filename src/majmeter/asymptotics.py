@@ -88,26 +88,36 @@ def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _integrate_unit(f, quad: QuadratureConfig):
     """Integrate f over [0, 1], doubling the node count until two successive
-    values agree to rel_tol (relative to max(1, |value|)), and giving up
-    rather than doubling past MAX_QUAD_NODES.
+    values agree to rel_tol (|delta| <= rel_tol * max(1, |value|)), and
+    giving up rather than doubling past MAX_QUAD_NODES; the QuadratureError
+    names the node count, the last change |delta| / max(1, |value|) and
+    rel_tol.
 
-    f maps the whole node vector to its values in one call.
+    f maps a node vector to its values in one call, element by element. The
+    first pass is one call on the n-node and 2n-node rules concatenated
+    (QuadratureConfig keeps 2n within MAX_QUAD_NODES); each later doubling is
+    one call on its own rule.
     """
     n = quad.nodes
-    prev = None
-    for _ in range(quad.max_doublings + 1):
-        if n > MAX_QUAD_NODES:
-            break
-        ts, ws = _gauss_nodes(n)
-        # summed left to right: BLAS dot products and numpy's pairwise sums
-        # order their additions by build and array length, and printed
-        # results must not depend on either
-        total = sum((ws * f(ts)).tolist())
-        if prev is not None and abs(total - prev) <= quad.rel_tol * max(1.0, abs(total)):
+    (ts, ws), (ts2, ws2) = _gauss_nodes(n), _gauss_nodes(2 * n)
+    values = f(np.concatenate((ts, ts2)))
+    # each rule summed left to right: BLAS dot products and numpy's pairwise
+    # sums order their additions by build and array length, and printed
+    # results must not depend on either
+    prev, total = sum((ws * values[:n]).tolist()), sum((ws2 * values[n:]).tolist())
+    n *= 2
+    for doubling in range(1, quad.max_doublings + 1):
+        if abs(total - prev) <= quad.rel_tol * max(1.0, abs(total)):
             return total
-        prev = total
+        if doubling == quad.max_doublings or 2 * n > MAX_QUAD_NODES:
+            break
         n *= 2
-    raise QuadratureError(f"integral did not stabilise with {n // 2} nodes")
+        ts, ws = _gauss_nodes(n)
+        prev, total = total, sum((ws * f(ts)).tolist())
+    change = abs(total - prev) / max(1.0, abs(total))
+    raise QuadratureError(
+        f"integral did not stabilise with {n} nodes "
+        f"(last change {change:.1e}, tolerance {quad.rel_tol:g})")
 
 
 def _cut_point(z, cut: float):
@@ -131,6 +141,19 @@ def _check_half_domain(z):
         raise DomainError(f"2*{bad} lies on the imaginary-axis cut |Im z| >= 2*pi")
 
 
+def _horner(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """sum_i coeffs[i] x^i by Horner's rule, in place on one array: per
+    element the same multiply-then-add steps as
+    numpy.polynomial.polynomial.polyval, so bit for bit its value, without
+    its two temporaries per coefficient."""
+    value = x * 0
+    value += coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        value *= x
+        value += c
+    return value
+
+
 def _kernel(z, order: int) -> np.ndarray:
     """The order-th derivative of the kernel (order 0: the kernel itself),
     element by element on an array.
@@ -144,8 +167,9 @@ def _kernel(z, order: int) -> np.ndarray:
     phi'(z) = (1 + e)/(2d) - 1/z, phi''(z) = 1/z^2 - e/d^2 and
     phi'''(z) = -2/z^3 + e(1 + e)/d^3. Below |z| = 2, where these cancel,
     every order is its Taylor series through z^48 (_SERIES_DERIVS, Horner's
-    rule in z^2). Against 50-digit values on both axes every order is within
-    2.7e-16 relative below |z| = 2, 7.8e-15 on [2, 4) and 7e-16 on [4, 6.2).
+    rule in z^2, run in place by _horner). Against 50-digit values on both
+    axes every order is within 2.7e-16 relative below |z| = 2, 7.8e-15 on
+    [2, 4) and 7e-16 on [4, 6.2).
     """
     z = np.asarray(z)
     z = z.astype(np.complex128 if z.dtype.kind == "c" else np.float64, copy=False)
@@ -155,7 +179,7 @@ def _kernel(z, order: int) -> np.ndarray:
     out = np.empty_like(z)
     small = np.abs(z) < 2.0
     zs = z[small]
-    value = np.polynomial.polynomial.polyval(zs * zs, _SERIES_DERIVS[order])
+    value = _horner(zs * zs, _SERIES_DERIVS[order])
     out[small] = value * zs if order % 2 else value
     big = ~small
     if not big.any():
@@ -222,15 +246,16 @@ def _signed_atoms(mu: DiscreteMeasure) -> np.ndarray:
     return np.array([(1.0, -1.0)] + [(x, w) for x, w in mu.float_atoms() if w > 0 and x != 0]).T
 
 
-def _lambda_deriv(mu: DiscreteMeasure, z, order: int, quad: QuadratureConfig):
+def _lambda_deriv(mu: DiscreteMeasure | np.ndarray, z, order: int, quad: QuadratureConfig):
     """The order-th z-derivative of lambda_omega (order 0: lambda_omega):
     int_0^1 t^k (phi^(k)(tz) - sum_atoms w x^k phi^(k)(txz)) dt.
 
-    Real z stays on the float64 path. The integrand is one kernel call over
-    all quadrature nodes and signed atoms at once; atoms at x = 0 contribute
-    nothing.
+    mu is the measure or its _signed_atoms array, which a caller integrating
+    many times over one measure builds once. Real z stays on the float64
+    path. The integrand is one kernel call over all quadrature nodes and
+    signed atoms at once; atoms at x = 0 contribute nothing.
     """
-    xs, ws = _signed_atoms(mu)
+    xs, ws = mu if isinstance(mu, np.ndarray) else _signed_atoms(mu)
     weights = -ws * xs ** order
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -346,7 +371,9 @@ def legendre_star(
     of the bracket; a step that would leave the bracket is replaced by
     bisection. Stops once the relative residual |lambda'(h) - y| / |y| is
     below 1e-12, and raises QuadratureError when it is not after 200 steps
-    or when the bracket can shrink no further.
+    or when the bracket can shrink no further. The signed atoms are built
+    once per solve, and every integral (slope, curvature and lambda at the
+    root) is one _lambda_deriv call over them.
     """
     _require_nondegenerate(mu)
     y = float(y)
@@ -355,9 +382,10 @@ def legendre_star(
         raise OutOfRange(f"need 0 < |y| < {limit}, got {y}")
     quad = quad or DEFAULT_QUAD
     target = abs(y)
+    atoms = _signed_atoms(mu)
 
     def slope(h: float) -> float:
-        return float(_lambda_deriv(mu, h, 1, quad))
+        return float(_lambda_deriv(atoms, h, 1, quad))
 
     lo, v, hi = 0.0, 0.0, 1.0  # lambda' is odd, so lambda'(0) = 0
     while (v_hi := slope(hi)) < target:
@@ -372,7 +400,7 @@ def legendre_star(
                 f"Legendre conjugation at y = {y} did not converge in {steps} steps "
                 f"(residual {abs(v - target):.3g})")
         steps += 1
-        curvature = float(_lambda_deriv(mu, h, 2, quad))
+        curvature = float(_lambda_deriv(atoms, h, 2, quad))
         newton = h + (target - v) / curvature if curvature > 0 else hi
         h = newton if lo < newton < hi else 0.5 * (lo + hi)
         if not lo < h < hi:
@@ -386,7 +414,8 @@ def legendre_star(
             hi = h
     if y < 0:
         h = -h
-    rate = h * y - lambda_omega(mu, h, quad).real
+    # lambda_omega(mu, h).real, with h != 0 real: the same order-0 integral
+    rate = h * y - _lambda_deriv(atoms, h, 0, quad)
     return h, rate
 
 

@@ -38,7 +38,7 @@ from majmeter import (
     varphi,
 )
 from majmeter import asymptotics
-from majmeter.asymptotics import standard_normal_cdf
+from majmeter.asymptotics import DEFAULT_QUAD, standard_normal_cdf
 from majmeter.exact_dist import bernoulli
 from majmeter.errors import (
     DegenerateParameter,
@@ -387,12 +387,157 @@ class TestQuadratureConfig:
         passes = []
 
         def oscillating(t):
-            passes.append(len(t))
+            passes.append(t)
             return np.cos(500.0 * t)
 
         with pytest.raises(QuadratureError, match="128 nodes"):
             asymptotics._integrate_unit(oscillating, QuadratureConfig(nodes=64, max_doublings=8))
-        assert passes == [64, 128]
+        # one call of 192 nodes: the 64- and 128-node rules, none past the ceiling
+        rules = [asymptotics._gauss_nodes(n)[0] for n in (64, 128)]
+        assert len(passes) == 1 and np.array_equal(passes[0], np.concatenate(rules))
+
+
+def _integrate_unit_reference(f, quad):
+    """_integrate_unit as one integrand call per rule: the loop that the
+    fused first pass must reproduce bit for bit."""
+    n = quad.nodes
+    prev = None
+    for _ in range(quad.max_doublings + 1):
+        if n > asymptotics.MAX_QUAD_NODES:
+            break
+        ts, ws = asymptotics._gauss_nodes(n)
+        total = sum((ws * f(ts)).tolist())
+        if prev is not None and abs(total - prev) <= quad.rel_tol * max(1.0, abs(total)):
+            return total
+        prev = total
+        n *= 2
+    raise QuadratureError(f"integral did not stabilise with {n // 2} nodes")
+
+
+def _integrate_both_ways(f, quad):
+    """(outcome, nodes requested) from _integrate_unit and from the reference
+    loop; an outcome is the value, or the QuadratureError raised."""
+    results = []
+    for integrate in (asymptotics._integrate_unit, _integrate_unit_reference):
+        requested = []
+
+        def recorded(t):
+            requested.append(t)
+            return f(t)
+
+        try:
+            outcome = integrate(recorded, quad)
+        except QuadratureError as exc:
+            outcome = exc
+        results.append((outcome, np.concatenate(requested)))
+    return results
+
+
+def _lambda_integrands(monkeypatch, mu, z, order):
+    """The integrand and QuadratureConfig that _lambda_deriv integrates, and
+    its value."""
+    captured = []
+    real = asymptotics._integrate_unit
+
+    def capture(f, quad):
+        captured.append((f, quad))
+        return real(f, quad)
+
+    monkeypatch.setattr(asymptotics, "_integrate_unit", capture)
+    value = asymptotics._lambda_deriv(mu, z, order, QuadratureConfig())
+    monkeypatch.setattr(asymptotics, "_integrate_unit", real)
+    (f, quad), = captured
+    return f, quad, value
+
+
+STAIRCASE_60 = measure_of(thoma_embed(staircase(60)))
+ATOM_AT_ZERO = DiscreteMeasure([(0.5, 0.25), (0.25, 0.25), (-0.125, 0.25), (0, 0.25)])
+
+
+class TestQuadratureFusion:
+    """The first two rules in one integrand call, against one call per rule."""
+
+    @pytest.mark.parametrize("order", range(4))
+    @pytest.mark.parametrize("z", [0.0, 1.3, 40.0, 0.4 + 0.7j])
+    @pytest.mark.parametrize("mu", [HALF_HALF, STAIRCASE_60, ATOM_AT_ZERO],
+                             ids=["half-half", "staircase-60", "atom-at-0"])
+    def test_lambda_integrands_match_the_per_rule_loop(self, monkeypatch, mu, z, order):
+        f, quad, value = _lambda_integrands(monkeypatch, mu, z, order)
+        (fused, fused_nodes), (reference, reference_nodes) = _integrate_both_ways(f, quad)
+        assert value == fused == reference
+        assert type(fused) is type(reference)
+        assert np.array_equal(fused_nodes, reference_nodes)
+
+    def test_three_rules_match_the_per_rule_loop(self):
+        def f(t):
+            return np.cos(300.0 * t)
+
+        (fused, fused_nodes), (reference, reference_nodes) = _integrate_both_ways(f, DEFAULT_QUAD)
+        assert fused == reference
+        assert np.array_equal(fused_nodes, reference_nodes)
+        assert len(fused_nodes) >= 64 + 128 + 256  # a third rule was needed
+
+    @pytest.mark.parametrize("ceiling, quad", [
+        (asymptotics.MAX_QUAD_NODES, QuadratureConfig(max_doublings=2)),
+        (256, QuadratureConfig(max_doublings=8)),
+    ], ids=["doublings", "ceiling"])
+    def test_unconverged_raises_as_the_per_rule_loop(self, monkeypatch, ceiling, quad):
+        monkeypatch.setattr(asymptotics, "MAX_QUAD_NODES", ceiling)
+
+        def f(t):
+            return np.cos(500.0 * t)
+
+        (fused, fused_nodes), (reference, reference_nodes) = _integrate_both_ways(f, quad)
+        assert isinstance(fused, QuadratureError) and isinstance(reference, QuadratureError)
+        assert str(fused).startswith(str(reference) + " (last change ")
+        assert "with 256 nodes" in str(fused)
+        assert np.array_equal(fused_nodes, reference_nodes)
+
+    def test_error_names_the_last_change_and_the_tolerance(self):
+        def f(t):
+            return np.cos(500.0 * t)
+
+        with pytest.raises(QuadratureError) as info:
+            asymptotics._integrate_unit(f, QuadratureConfig(max_doublings=1))
+        ts, ws = asymptotics._gauss_nodes(64)
+        ts2, ws2 = asymptotics._gauss_nodes(128)
+        a, b = sum((ws * f(ts)).tolist()), sum((ws2 * f(ts2)).tolist())
+        change = abs(b - a) / max(1.0, abs(b))
+        assert str(info.value) == (
+            f"integral did not stabilise with 128 nodes (last change {change:.1e}, "
+            "tolerance 1e-12)")
+
+
+class TestHorner:
+    """The kernel's in-place Horner against numpy's polyval, bit for bit."""
+
+    @pytest.mark.parametrize("order", range(4))
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_matches_polyval(self, order, dtype):
+        rng = np.random.default_rng(order)
+        below_two = math.nextafter(2.0, 0.0)
+        zs = [0.0, -0.0, 1e-300, -1e-300, 0.5, -1.0, below_two, -below_two]
+        if dtype is np.complex128:
+            zs += [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+                   complex(0.0, below_two), complex(-0.0, -below_two),
+                   below_two * cmath.exp(0.7j), 1.2 - 1.5j]
+            zs += list(rng.uniform(-2, 2, 200) * np.exp(1j * rng.uniform(-3.2, 3.2, 200)) / 1.5)
+        else:
+            zs += list(rng.uniform(-2, 2, 200))
+        z = np.array(zs, dtype=dtype)
+        for x in (z * z, z):  # the kernel's argument z^2, and plain z with signed zeros
+            coeffs = asymptotics._SERIES_DERIVS[order]
+            got = asymptotics._horner(x, coeffs)
+            want = np.polynomial.polynomial.polyval(x, coeffs)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_empty(self, dtype):
+        x = np.array([], dtype=dtype)
+        for coeffs in asymptotics._SERIES_DERIVS:
+            got = asymptotics._horner(x, coeffs)
+            want = np.polynomial.polynomial.polyval(x, coeffs)
+            assert got.dtype == want.dtype and got.shape == want.shape == (0,)
 
 
 class TestLambdaDerivatives:
@@ -448,12 +593,14 @@ class TestLambdaDerivatives:
 
         monkeypatch.setattr(asymptotics, "_kernel", counting_kernel)
         monkeypatch.setattr(asymptotics, "_integrate_unit", counting_integrate)
+        nodes = QuadratureConfig().nodes
         for order in range(4):
             for z in (1.3, 0.4 + 0.7j):
                 kernel_calls.clear()
                 passes.clear()
                 asymptotics._lambda_deriv(mu, z, order, QuadratureConfig())
-                assert len(passes) >= 2 and kernel_calls == [order] * len(passes)
+                # the first integrand call covers the first two rules
+                assert passes[0] == 3 * nodes and kernel_calls == [order] * len(passes)
 
 
 class TestLambdaPrimeLimit:
@@ -583,6 +730,24 @@ class TestLegendre:
         monkeypatch.setattr(asymptotics, "_lambda_deriv", counted)
         legendre_star(measure_of(thoma_embed(staircase(60))), 0.04)
         assert len(orders) <= 12
+
+    def test_one_kernel_call_per_integral(self, monkeypatch):
+        # work guard: every integral of the solve settles at its second rule,
+        # so each is one kernel call; the signed atoms are built once
+        calls = {"kernel": 0, "integrals": 0, "atoms": 0}
+
+        def counting(name, real):
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(asymptotics, real.__name__, wrapped)
+
+        counting("kernel", asymptotics._kernel)
+        counting("integrals", asymptotics._lambda_deriv)
+        counting("atoms", asymptotics._signed_atoms)
+        legendre_star(STAIRCASE_60, 0.04)
+        assert calls["integrals"] > 0
+        assert calls["kernel"] == calls["integrals"] and calls["atoms"] == 1
 
 
 class TestLDEstimate:
