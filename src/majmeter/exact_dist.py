@@ -75,11 +75,12 @@ class QPolynomial:
         exponents = range(self.offset, self.offset + len(self.coeffs))
         return self._normalised(sum(map(mul, self.coeffs, map(pow, exponents, repeat(k)))))
 
-    def _normalised(self, total: int) -> Fraction:
-        """total / P(1): the one division by the mass, which must be positive."""
+    def _normalised(self, total: int, power: int = 1) -> Fraction:
+        """total / P(1)^power: the one division by the mass, which must be
+        positive."""
         if self._mass <= 0:
             raise ValueError("polynomial must have positive mass")
-        return Fraction(total, self._mass)
+        return Fraction(total, self._mass ** power)
 
     def to_json(self) -> dict:
         return {"offset": self.offset, "coeffs": [str(c) for c in self.coeffs]}
@@ -322,16 +323,27 @@ def exact_cumulant(lam: Partition, r: int) -> Fraction:
 
 def cumulants_from_polynomial(poly: QPolynomial, r: int) -> tuple[Fraction, ...]:
     """Moment-route cumulants (kappa_1, ..., kappa_r) through the recursion
-    kappa_s = m_s - sum_{j<s} C(s-1, j-1) kappa_j m_{s-j} on the raw moments."""
+    kappa_s = m_s - sum_{j<s} C(s-1, j-1) kappa_j m_{s-j} on the raw moments,
+    run on integers: with the power sums S_k = sum c_m m^k and the mass M,
+    K_s = M^s kappa_s = S_s M^(s-1) - sum_{j<s} C(s-1, j-1) K_j S_{s-j} M^(s-j-1),
+    so each order divides once."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    moments = [Fraction(1)] + [poly.moment(k) for k in range(1, r + 1)]
-    kappa = [Fraction(0)] * (r + 1)
+    mass = poly.at_one()
+    terms = poly.coeffs
+    exponents = range(poly.offset, poly.offset + len(terms))
+    sums = [mass]
+    for _ in range(r):
+        terms = list(map(mul, terms, exponents))
+        sums.append(sum(terms))
+    powers = [mass ** e for e in range(r)]
+    scaled = [0] * (r + 1)
     for s in range(1, r + 1):
-        kappa[s] = moments[s] - sum(
-            math.comb(s - 1, j - 1) * kappa[j] * moments[s - j] for j in range(1, s)
+        scaled[s] = sums[s] * powers[s - 1] - sum(
+            math.comb(s - 1, j - 1) * scaled[j] * sums[s - j] * powers[s - j - 1]
+            for j in range(1, s)
         )
-    return tuple(kappa[1:])
+    return tuple(poly._normalised(k, s) for s, k in enumerate(scaled[1:], start=1))
 
 
 def cumulant_from_polynomial(poly: QPolynomial, r: int) -> Fraction:

@@ -170,51 +170,65 @@ def rsk(images: Sequence[int]) -> tuple[StandardTableau, StandardTableau]:
 
 def _hook_walk_block(lam: Partition, trials: int, gen: np.random.Generator) -> np.ndarray:
     """`trials` independent uniform samples drawn in lockstep; returns an array
-    of shape (trials, n) whose column v - 1 holds the 0-based row of value v.
+    of shape (n, trials) whose row v - 1 holds the 0-based row of value v.
 
     Values n, n-1, ... are placed by starting each trial at a uniform
     remaining cell and jumping to a uniform cell of its hook until every
-    trial sits at a corner (Greene-Nijenhuis-Wilf).  Row lengths and column
-    heights are kept per trial, so arm and leg are single gathers.
+    trial sits at a corner (Greene-Nijenhuis-Wilf).  The state is laid out
+    (rows, trials): each trial's cumulative row ends, decremented below the
+    row of each placed value, locate the uniform cell with one compare down
+    the rows, and row lengths and column heights minus one are flat arrays,
+    so arm and leg are one gather each.
     """
     n = lam.n
     every = np.arange(trials)
-    row_len = np.tile(np.asarray(lam.rows, dtype=np.int64), (trials, 1))
-    col_len = np.tile(np.asarray(conjugate(lam).rows, dtype=np.int64), (trials, 1))
-    out = np.empty((trials, n), dtype=np.min_scalar_type(len(lam.rows)))
+    rows = np.asarray(lam.rows, dtype=np.int64)
+    below = np.arange(len(rows))[:, None]
+    ends = np.repeat(np.cumsum(rows)[:, None], trials, axis=1)
+    arm_max = np.repeat(rows - 1, trials)
+    leg_max = np.repeat(np.asarray(conjugate(lam).rows, dtype=np.int64) - 1, trials)
+    out = np.empty((n, trials), dtype=np.min_scalar_type(len(rows)))
     for m in range(n, 0, -1):
         t = gen.integers(0, m, size=trials)
-        ends = np.cumsum(row_len, axis=1)
-        i = (ends <= t[:, None]).sum(axis=1)
-        j = t - ends[every, i] + row_len[every, i]
-        live = every
+        i = (ends <= t).sum(axis=0)
+        at = i * trials + every
+        j = t - ends.ravel()[at] + arm_max[at] + 1
+        live, li, lj = every, i, j
         while True:
-            li, lj = i[live], j[live]
-            arm = row_len[live, li] - 1 - lj
-            leg = col_len[live, lj] - 1 - li
-            moving = arm + leg > 0
-            live, arm, leg = live[moving], arm[moving], leg[moving]
-            if not live.size:
+            arm = arm_max[li * trials + live] - lj
+            hook = leg_max[lj * trials + live] - li + arm
+            moving = np.flatnonzero(hook)
+            if not moving.size:
                 break
-            step = gen.integers(0, arm + leg)
-            right = step < arm
-            j[live] += np.where(right, step + 1, 0)
-            i[live] += np.where(right, 0, step - arm + 1)
-        out[:, m - 1] = i
-        row_len[every, i] -= 1
-        col_len[every, j] -= 1
+            live, arm, hook = live[moving], arm[moving], hook[moving]
+            step = gen.integers(0, hook)
+            li = li[moving] + np.maximum(step - arm + 1, 0)  # down past the arm
+            lj = lj[moving] + (step + 1) * (step < arm)  # right along it
+            i[live] = li
+            j[live] = lj
+        out[m - 1] = i
+        ends -= below >= i
+        arm_max[i * trials + every] -= 1
+        leg_max[j * trials + every] -= 1
     return out
 
 
 def _row_blocks(lam: Partition, trials: int, seed: int) -> Iterator[np.ndarray]:
     """All `trials` samples as consecutive lockstep blocks from one PCG64
-    stream; a block holds at most _BLOCK_CELLS values, which bounds memory."""
+    stream; a block holds at most _BLOCK_CELLS values, which bounds memory,
+    so a shape of more cells is refused (CapExceeded) before any is built."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if lam.n > _BLOCK_CELLS:
+        raise CapExceeded(
+            f"|lambda| = {lam.n} exceeds the sampler's block of {_BLOCK_CELLS} cells"
+        )
     gen = np.random.Generator(np.random.PCG64(seed))
-    size = max(1, _BLOCK_CELLS // max(lam.n, 1))
-    for start in range(0, trials, size):
-        yield _hook_walk_block(lam, min(size, trials - start), gen)
+    size = _BLOCK_CELLS // max(lam.n, 1)
+    return (
+        _hook_walk_block(lam, min(size, trials - start), gen)
+        for start in range(0, trials, size)
+    )
 
 
 def sample_uniform(lam: Partition, seed: int) -> StandardTableau:
@@ -222,7 +236,7 @@ def sample_uniform(lam: Partition, seed: int) -> StandardTableau:
     _require_nonempty(lam)
     (block,) = _row_blocks(lam, 1, seed)
     grid: list[list[int]] = [[] for _ in lam.rows]
-    for v, i in enumerate(block[0].tolist(), start=1):
+    for v, i in enumerate(block[:, 0].tolist(), start=1):
         grid[i].append(v)
     return StandardTableau(grid)
 
@@ -236,16 +250,17 @@ def sample_row_sequences(
     increasing order), so it is a cheap identity for frequency tests.
     """
     for block in _row_blocks(lam, trials, seed):
-        yield from map(tuple, block.tolist())
+        yield from map(tuple, block.T.tolist())
 
 
 def maj_histogram_mc(lam: Partition, trials: int, seed: int) -> dict[int, int]:
     """Empirical maj histogram over `trials` hook-walk samples."""
+    blocks = _row_blocks(lam, trials, seed)
     weights = np.arange(1, lam.n, dtype=np.int64)
     counts: dict[int, int] = {}
-    for block in _row_blocks(lam, trials, seed):
+    for block in blocks:
         # i is a descent when value i + 1 sits in a higher-index row than i
-        majs = (block[:, 1:] > block[:, :-1]) @ weights
+        majs = weights @ (block[1:] > block[:-1])
         values, freq = np.unique(majs, return_counts=True)
         for v, c in zip(values.tolist(), freq.tolist()):
             counts[v] = counts.get(v, 0) + c

@@ -208,6 +208,19 @@ class TestSample:
         assert code == 2 and out == ""
         assert err == "error: trials must be >= 1\n"
 
+    def test_shape_past_the_block_cap_exits_3_at_once(self, capsys, monkeypatch):
+        # 600 000 cells do not fit one lockstep block: refused before a walk starts
+        def no_walk(*args):
+            raise AssertionError("a hook walk started past the cap")
+
+        monkeypatch.setattr(tableaux, "_hook_walk_block", no_walk)
+        code, out, err = run(capsys, "sample", "-p", "600000", "--trials", "1")
+        assert code == 3 and out == ""
+        assert err == (
+            f"error: |lambda| = 600000 exceeds the sampler's block of "
+            f"{tableaux._BLOCK_CELLS} cells\n"
+        )
+
 
 class TestLd:
     def test_single_row(self, capsys):

@@ -211,6 +211,44 @@ class TestCumulants:
             exact_cumulant(Partition((2, 1)), 1)
 
 
+def _cumulants_reference(poly, r):
+    """The moment-route recursion on Fraction raw moments, one division per
+    moment and per product: what the integer-scaled recursion must equal."""
+    moments = [Fraction(1)] + [poly.moment(k) for k in range(1, r + 1)]
+    kappa = [Fraction(0)] * (r + 1)
+    for s in range(1, r + 1):
+        kappa[s] = moments[s] - sum(
+            math.comb(s - 1, j - 1) * kappa[j] * moments[s - j] for j in range(1, s)
+        )
+    return tuple(kappa[1:])
+
+
+class TestIntegerScaledCumulants:
+    @settings(deadline=None, max_examples=40)
+    @given(partition_strategy(max_n=30), st.integers(min_value=1, max_value=8))
+    def test_matches_fraction_recursion_on_maj_laws(self, lam, r):
+        poly = maj_polynomial(lam)
+        assert cumulants_from_polynomial(poly, r) == _cumulants_reference(poly, r)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=50),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_matches_fraction_recursion_on_any_law(self, coeffs, offset, r):
+        assume(any(coeffs))
+        poly = QPolynomial(coeffs, offset)
+        assert cumulants_from_polynomial(poly, r) == _cumulants_reference(poly, r)
+
+    def test_one_point_law(self):
+        for poly in (QPolynomial([1]), QPolynomial([7], offset=5)):
+            kappa = cumulants_from_polynomial(poly, 8)
+            assert kappa == _cumulants_reference(poly, 8)
+            assert kappa == (poly.offset, *[0] * 7)
+            assert all(isinstance(k, Fraction) for k in kappa)
+
+
 class TestClosedForms:
     def test_mean(self):
         assert mean_maj(Partition((4, 2, 2, 1))) == Fraction(37, 2)

@@ -2,8 +2,10 @@ import math
 from collections import Counter
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from majmeter import (
@@ -20,11 +22,15 @@ from majmeter import (
     sample_uniform,
     var_maj,
 )
+from majmeter import tableaux
 from majmeter.errors import CapExceeded
 from majmeter.exact_dist import b_stat, maj_polynomial, range_maj
+from majmeter.families import staircase
+from majmeter.partitions import conjugate
 from majmeter.tableaux import (
     _BLOCK_CELLS,
     ENUM_CAP,
+    _hook_walk_block,
     maj_multiset,
     perm_descents,
     sample_row_sequences,
@@ -185,6 +191,115 @@ class TestSampler:
         sd = math.sqrt(trials * p * (1 - p))
         for c in counts.values():
             assert abs(c - trials * p) < 5 * sd
+
+
+def _hook_walk_block_reference(lam, trials, gen):
+    """The lockstep hook walk with per-trial state laid out (trials, rows) and
+    a cumsum of the row lengths per placed value; returns (trials, n).  The
+    sampler must draw exactly what this draws from the same PCG64 stream."""
+    n = lam.n
+    every = np.arange(trials)
+    row_len = np.tile(np.asarray(lam.rows, dtype=np.int64), (trials, 1))
+    col_len = np.tile(np.asarray(conjugate(lam).rows, dtype=np.int64), (trials, 1))
+    out = np.empty((trials, n), dtype=np.min_scalar_type(len(lam.rows)))
+    for m in range(n, 0, -1):
+        t = gen.integers(0, m, size=trials)
+        ends = np.cumsum(row_len, axis=1)
+        i = (ends <= t[:, None]).sum(axis=1)
+        j = t - ends[every, i] + row_len[every, i]
+        live = every
+        while True:
+            li, lj = i[live], j[live]
+            arm = row_len[live, li] - 1 - lj
+            leg = col_len[live, lj] - 1 - li
+            moving = arm + leg > 0
+            live, arm, leg = live[moving], arm[moving], leg[moving]
+            if not live.size:
+                break
+            step = gen.integers(0, arm + leg)
+            right = step < arm
+            j[live] += np.where(right, step + 1, 0)
+            i[live] += np.where(right, 0, step - arm + 1)
+        out[:, m - 1] = i
+        row_len[every, i] -= 1
+        col_len[every, j] -= 1
+    return out
+
+
+def _pcg64(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _assert_same_draws(lam, trials, seed):
+    expected = _hook_walk_block_reference(lam, trials, _pcg64(seed))
+    got = _hook_walk_block(lam, trials, _pcg64(seed))
+    assert got.shape == (lam.n, trials)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected.T)
+
+
+class TestHookWalkDraws:
+    """The walk keeps each trial's row ends instead of a cumsum per value;
+    the samples for a seed are the reference loop's, value for value."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        partition_strategy(max_n=30),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([1, 2, 7, 300]),
+    )
+    def test_matches_reference(self, lam, seed, trials):
+        _assert_same_draws(lam, trials, seed)
+
+    @pytest.mark.parametrize("lam, trials", [
+        (Partition((4, 2, 2, 1)), 20000),
+        (staircase(200), 100),
+        (Partition((50,)), 3),
+        (Partition((1,) * 50), 3),
+    ])
+    def test_matches_reference_on_fixed_shapes(self, lam, trials):
+        _assert_same_draws(lam, trials, 2024)
+
+    def test_multi_block_row_sequences(self):
+        lam = Partition((3, 2, 1))
+        size = _BLOCK_CELLS // lam.n
+        trials = 2 * size + 7
+        gen = _pcg64(5)
+        expected = np.concatenate([
+            _hook_walk_block_reference(lam, min(size, trials - start), gen)
+            for start in range(0, trials, size)
+        ])
+        got = np.array(list(sample_row_sequences(lam, trials, 5)), dtype=expected.dtype)
+        assert np.array_equal(got, expected)
+
+
+class TestBlockCap:
+    """A lockstep block holds at most _BLOCK_CELLS values, so a shape of more
+    cells is refused before any block is built."""
+
+    def test_boundary(self, monkeypatch):
+        monkeypatch.setattr(tableaux, "_BLOCK_CELLS", 9)
+        at = Partition((4, 2, 2, 1))
+        assert sum(maj_histogram_mc(at, 3, 1).values()) == 3
+        assert len(list(sample_row_sequences(at, 3, 1))) == 3
+        assert sample_uniform(at, 1).shape == at
+        past = Partition((4, 2, 2, 2))
+        message = "^[|]lambda[|] = 10 exceeds the sampler's block of 9 cells$"
+        with pytest.raises(CapExceeded, match=message):
+            maj_histogram_mc(past, 1, 1)
+        with pytest.raises(CapExceeded, match=message):
+            list(sample_row_sequences(past, 1, 1))
+        with pytest.raises(CapExceeded, match=message):
+            sample_uniform(past, 1)
+
+    def test_nothing_is_built_past_the_cap(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("a block was built past the cap")
+
+        monkeypatch.setattr(tableaux, "_hook_walk_block", no_walk)
+        monkeypatch.setattr(tableaux, "conjugate", no_walk)
+        with pytest.raises(CapExceeded):
+            maj_histogram_mc(Partition((_BLOCK_CELLS + 1,)), 1, 0)
 
 
 class TestMajHistogramMC:
