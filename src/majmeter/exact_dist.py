@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
-from operator import mul, truediv
+from operator import mul, rshift
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -441,25 +441,74 @@ def kolmogorov_distance_to_normal(poly: QPolynomial) -> float:
     """sup-distance between the standardised coefficient CDF and Phi, taken
     over both one-sided limits at every jump (every nonzero coefficient).
 
-    The running sums stay exact Python ints, each divided by the mass once;
-    Phi(s) is 0.5 erfc(-s / sqrt 2) as in standard_normal_cdf.  The pass runs
-    through C-level iterators and numpy, with every float operation the one a
-    scalar loop over the jumps would make, so the value is bit-identical to it.
+    The result is bit for bit that of a scalar loop over the jumps which
+    divides each exact running sum P_k = c_0 + ... + c_k by the mass M once
+    (correctly rounded) and compares it, and the sum before it, with
+    Phi(s) = 0.5 erfc(-s / sqrt 2) as in standard_normal_cdf.  No list of the
+    running sums is held: each pass below streams them again.
+
+    The moments come from the running sums in exact integers.  With L
+    coefficients, T1 = sum_k P_k and T2 = sum_k (P_0 + ... + P_k):
+    sum_i i c_i = L M - T1 and sum_i i^2 c_i = L^2 M - (2L + 1) T1 + 2 T2,
+    since sum_i f(i) c_i = sum_k (f(k + 1) - f(k)) (M - P_k) with f(0) = 0.
+    One pass of three running sums gives both: T2 is its last value and T1
+    the last step.  So the mean and the variance are the same Fractions as
+    moment(1) and moment(2) - mean^2.
+
+    The correctly rounded division is then made only where the supremum can
+    sit.  A second pass approximates each P_k / M in floats, shifted so that
+    nothing overflows: (P_k >> cut) / (M >> mass_cut) * 2^(cut - mass_cut),
+    the cuts taking sum_i |c_i| (M itself unless a coefficient is negative)
+    and M to 1000 bits.  That is within 3.01 * 2^-53 * m of P_k / M, where
+    m = max(1, max_k |P_k / M|), so each jump's gap max(|here - Phi|,
+    |below - Phi|) is within 8.02 * 2^-53 * m (about 8.9e-16 m) of the scalar
+    loop's.  A jump whose approximate gap is within 1e-14 m of the largest
+    (more than twice that error) is a candidate; the scalar loop's maximum
+    is always one.  A third pass, up to the last candidate, picks out the
+    exact sums at and below each candidate, and their gaps give the value.
+    If every gap lies within the margin, every jump is divided exactly, at
+    the cost of the scalar loop.
     """
-    mean = poly.moment(1)
-    var = poly.moment(2) - mean * mean
-    if var <= 0:
+    coeffs = poly.coeffs
+    size = len(coeffs)
+    mass = poly.at_one()
+    # running sums of Q_k = P_0 + ... + P_k after two zeros: the last two
+    # are T2 - T1 and T2
+    before, t2 = deque(accumulate(accumulate(accumulate(coeffs), initial=0), initial=0), maxlen=2)
+    t1 = t2 - before
+    s1 = size * mass - t1
+    s2 = size * size * mass - (2 * size + 1) * t1 + 2 * t2
+    mean = poly.offset + poly._normalised(s1)
+    var = poly._normalised(s2 * mass - s1 * s1, 2)
+    if var <= 0 or float(var) == 0:  # also a positive variance below float range
         raise DegenerateDistribution("zero variance; nothing to standardise")
     sd = math.sqrt(float(var))
-    coeffs = poly.coeffs
     jumps = np.fromiter(compress(count(poly.offset), coeffs), float)
-    cdf = np.fromiter(
-        map(truediv, accumulate(compress(coeffs, coeffs)), repeat(poly.at_one())), float
-    )
     s = (jumps - float(mean)) / sd
     gauss = 0.5 * np.fromiter(map(math.erfc, (-s / math.sqrt(2.0)).tolist()), float)
+    widest = mass if min(coeffs) >= 0 else sum(map(abs, coeffs))  # bounds every |P_k|
+    cut = max(0, widest.bit_length() - 1000)
+    mass_cut = max(0, mass.bit_length() - 1000)
+    sums = accumulate(compress(coeffs, coeffs))  # the running sum at each jump
+    tops = map(rshift, sums, repeat(cut)) if cut else sums  # a shift by 0 copies
+    with np.errstate(over="ignore"):  # inf only where the exact ratio overflows too
+        cdf = np.fromiter(map(float, tops), float, len(jumps)) / float(mass >> mass_cut)
+        cdf = np.ldexp(cdf, cut - mass_cut)
     below = np.concatenate([[0.0], cdf[:-1]])  # the CDF just below each jump
-    return float(max(np.abs(cdf - gauss).max(), np.abs(below - gauss).max()))
+    gap = np.maximum(np.abs(cdf - gauss), np.abs(below - gauss))
+    margin = 1e-14 * max(1.0, float(np.abs(cdf).max()))
+    near = np.flatnonzero(gap + margin >= gap.max())
+    # exact[j] is the running sum below jump j, exact[j + 1] the one at it
+    wanted = np.zeros(near[-1] + 2, bool)
+    wanted[near] = wanted[near + 1] = True
+    exact = dict(zip(
+        np.flatnonzero(wanted).tolist(),
+        compress(accumulate(compress(coeffs, coeffs), initial=0), wanted.tolist()),
+    ))
+    worst = 0.0
+    for j, g in zip(near.tolist(), gauss[near].tolist()):
+        worst = max(worst, abs(exact[j + 1] / mass - g), abs(exact[j] / mass - g))
+    return worst
 
 
 def log_laplace_exact(lam: Partition, z: complex) -> complex:

@@ -216,7 +216,9 @@ def _hook_walk_block(lam: Partition, trials: int, gen: np.random.Generator) -> n
 def _row_blocks(lam: Partition, trials: int, seed: int) -> Iterator[np.ndarray]:
     """All `trials` samples as consecutive lockstep blocks from one PCG64
     stream; a block holds at most _BLOCK_CELLS values, which bounds memory,
-    so a shape of more cells is refused (CapExceeded) before any is built."""
+    so a shape of more cells is refused (CapExceeded) before any is built,
+    as is an empty one (EmptyPartition)."""
+    _require_nonempty(lam)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if lam.n > _BLOCK_CELLS:
@@ -224,7 +226,7 @@ def _row_blocks(lam: Partition, trials: int, seed: int) -> Iterator[np.ndarray]:
             f"|lambda| = {lam.n} exceeds the sampler's block of {_BLOCK_CELLS} cells"
         )
     gen = np.random.Generator(np.random.PCG64(seed))
-    size = _BLOCK_CELLS // max(lam.n, 1)
+    size = _BLOCK_CELLS // lam.n
     return (
         _hook_walk_block(lam, min(size, trials - start), gen)
         for start in range(0, trials, size)
@@ -233,7 +235,6 @@ def _row_blocks(lam: Partition, trials: int, seed: int) -> Iterator[np.ndarray]:
 
 def sample_uniform(lam: Partition, seed: int) -> StandardTableau:
     """Deterministic-for-seed uniform sample from the standard tableaux of lam."""
-    _require_nonempty(lam)
     (block,) = _row_blocks(lam, 1, seed)
     grid: list[list[int]] = [[] for _ in lam.rows]
     for v, i in enumerate(block[:, 0].tolist(), start=1):

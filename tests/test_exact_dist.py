@@ -401,6 +401,37 @@ class TestKolmogorov:
         poly = maj_polynomial(build(n))
         assert kolmogorov_distance_to_normal(poly) == _d_kol_reference(poly)
 
+    def test_bit_identical_at_an_offset_past_int64(self):
+        poly = maj_polynomial(Partition((5, 3, 1))).shifted(10**20)
+        assert kolmogorov_distance_to_normal(poly) == _d_kol_reference(poly)
+
+    def test_bit_identical_with_a_mass_past_float_range(self):
+        base = maj_polynomial(Partition((4, 2, 2, 1))).coeffs
+        poly = QPolynomial([c * 10**400 + i for i, c in enumerate(base)], offset=3)
+        assert poly.at_one() > 2**1100
+        assert kolmogorov_distance_to_normal(poly) == _d_kol_reference(poly)
+
+    @pytest.mark.parametrize("coeffs", [
+        [3, -1, 2],  # a signed law
+        [2**1100, -(2**1101), 2**1100 + 2**200],  # running sums past float range
+        [1, 1],  # exact ties at the supremum
+        [1, 2, 1],
+    ])
+    def test_bit_identical_on_signed_laws_and_ties(self, coeffs):
+        poly = QPolynomial(coeffs)
+        assert kolmogorov_distance_to_normal(poly) == _d_kol_reference(poly)
+
+    def test_a_running_sum_past_float_range_overflows_as_in_the_scalar_loop(self):
+        poly = QPolynomial([2**1030, -(2**1031), 2**1030 + 1])
+        with pytest.raises(OverflowError):
+            _d_kol_reference(poly)
+        with pytest.raises(OverflowError):
+            kolmogorov_distance_to_normal(poly)
+
+    def test_variance_below_float_range(self):
+        with pytest.raises(DegenerateDistribution):
+            kolmogorov_distance_to_normal(QPolynomial([1, 10**400]))
+
 
 def _d_kol_reference(poly):
     """d_Kol by a scalar loop over the coefficients, one jump at a time."""

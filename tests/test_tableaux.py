@@ -23,7 +23,7 @@ from majmeter import (
     var_maj,
 )
 from majmeter import tableaux
-from majmeter.errors import CapExceeded
+from majmeter.errors import CapExceeded, EmptyPartition
 from majmeter.exact_dist import b_stat, maj_polynomial, range_maj
 from majmeter.families import staircase
 from majmeter.partitions import conjugate
@@ -158,6 +158,15 @@ class TestSampler:
             maj_histogram_mc(lam, trials, 0)
         with pytest.raises(ValueError, match="^trials must be >= 1$"):
             list(sample_row_sequences(lam, trials, 0))
+
+    def test_empty_partition(self):
+        empty = Partition(())
+        with pytest.raises(EmptyPartition):
+            maj_histogram_mc(empty, 3, 1)
+        with pytest.raises(EmptyPartition):
+            list(sample_row_sequences(empty, 3, 1))
+        with pytest.raises(EmptyPartition):
+            sample_uniform(empty, 1)
 
     def test_valid_tableau(self):
         for seed in range(20):
