@@ -82,8 +82,18 @@ class QPolynomial:
             raise ValueError("polynomial must have positive mass")
         return Fraction(total, self._mass ** power)
 
+    def _palindromic(self) -> bool:
+        """Whether the coefficients read the same reversed, as a maj law's do."""
+        return self.coeffs == self.coeffs[::-1]
+
     def to_json(self) -> dict:
-        return {"offset": self.offset, "coeffs": [str(c) for c in self.coeffs]}
+        """Offset and decimal coefficient strings; a palindrome converts only
+        its lower half and mirrors the strings."""
+        coeffs = self.coeffs
+        if not self._palindromic():
+            return {"offset": self.offset, "coeffs": list(map(str, coeffs))}
+        lower = list(map(str, coeffs[:(len(coeffs) + 1) // 2]))
+        return {"offset": self.offset, "coeffs": lower + lower[:len(coeffs) // 2][::-1]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "QPolynomial":
@@ -100,6 +110,12 @@ class QPolynomial:
         return f"QPolynomial({list(self.coeffs)!r}, offset={self.offset})"
 
 
+# the largest multiple m = k / h folded: caps of 3 to 8 ran alike on the six
+# large-shapes laws and at n = 600, 2 and 1 (no folds) slower
+_FOLD_MAX = 8
+_ROW_BLOCK = 8  # limb rows allocated at a time
+
+
 def _q_ratio(numerator: Sequence[int], denominator: Sequence[int]) -> np.ndarray:
     """Coefficients of P = prod(1 - q^k, numerator) / prod(1 - q^h, denominator)
     as a dtype=object array of Python ints.
@@ -110,21 +126,31 @@ def _q_ratio(numerator: Sequence[int], denominator: Sequence[int]) -> np.ndarray
     is then D = sum(k) - sum(h), and since 1 - q^-k = -q^-k (1 - q^k),
     q^D P(1/q) = (-1)^(#numerator - #denominator) P: the coefficients are a
     signed palindrome.  Only c_0..c_(D//2) are built, as power series mod
-    q^(D//2 + 1).  The numerators go in ascending, then the factors 1 + q^h
-    of the pairs k = 2h.  Then the other hooks are divided out largest first,
-    each by the recurrence out[i] = c[i] + out[i - h] (a cumulative sum down
-    each residue class mod h).  With every factor in, each partial quotient
-    is P times the hook factors still to divide: a polynomial, as in exact
-    division.  The upper half is the lower one mirrored, with that sign.
+    q^half, half = D//2 + 1; a factor with k or h >= half is 1 there.
+
+    Each hook h, largest first, is folded into an unused numerator k = m h
+    with 2 <= m <= _FOLD_MAX, the smallest such m:
+    (1 - q^(m h)) / (1 - q^h) = 1 + q^h + ... + q^((m - 1) h), m - 1 shifted
+    adds (fewer where j h >= half; with m h >= half the truncated sum is
+    1 / (1 - q^h) itself).  The other numerators go in in ascending k, then
+    the folds, then the other hooks are divided out largest first, each by
+    the recurrence out[i] = c[i] + out[i - h]: a cumulative sum down each
+    residue class mod h, several times the cost of a shifted add.  It is
+    taken row by row, as a cumsum over blocks of h limbs (one along the
+    strided axis of all rows at once ran up to 1.6 times slower at n = 600).
+    Every step is a ring operation mod q^half, so the order does not change
+    the result, only the size of the partial products.  The upper half is
+    the lower one mirrored, with that sign.
 
     The series is one int64 array of base-2^32 limbs, c_i = sum_j
     limbs[j, i] 2^(32 j).  Every step is linear, so it acts on each row alike.
-    `bound` caps max |limb|: a shifted step at most doubles it, a cumulative
-    sum multiplies it by the longest residue class, ceil(half / h).  Before a
-    step could take it past 2^62 the limbs are carried (_carry) and the bound
-    drops to 2^32 (so half must stay below 2^30).  While one row suffices it is the law; otherwise the
-    carried rows are the little-endian two's-complement bytes of each
-    coefficient, read back by int.from_bytes.
+    `bound` caps max |limb|: a shifted step at most doubles it, a fold of t
+    terms multiplies it by t, a cumulative sum by the longest residue class,
+    ceil(half / h).  Before a step could take it past 2^62 the limbs are
+    carried (_carry) and the bound drops to 2^32 (so half must stay below
+    2^30).  While one row suffices it is the law; otherwise the carried rows
+    are the little-endian two's-complement bytes of each coefficient, read
+    back by int.from_bytes.
     """
     held = Counter(d for k in numerator for d in _divisors(k))
     held.subtract(d for h in denominator for d in _divisors(h))
@@ -132,34 +158,46 @@ def _q_ratio(numerator: Sequence[int], denominator: Sequence[int]) -> np.ndarray
         raise AssertionError("inexact division by 1 - q^h (hook bug)")
     degree = sum(numerator) - sum(denominator)
     half = degree // 2 + 1  # 1 - q^k is 1 mod q^half once k >= half
-    # (1 - q^2h) / (1 - q^h) = 1 + q^h: one pass where two would be made
-    num, den = Counter(numerator), Counter(denominator)
-    doubled = Counter({h: min(c, num[2 * h]) for h, c in den.items()})
-    num.subtract({2 * h: c for h, c in doubled.items()})
-    den.subtract(doubled)
-    steps = [(k, np.subtract) for k in sorted(num.elements()) if k < half]
-    steps += [(h, np.add) for h in sorted(doubled.elements()) if h < half]
-    steps += [(h, None) for h in sorted((h for h in den.elements() if h < half), reverse=True)]
-    limbs = np.zeros((1, half), dtype=np.int64)
-    limbs[0, 0] = 1
-    bound = 1
-    for e, op in steps:
-        growth = -(-half // e) if op is None else 2
-        if bound * growth > 1 << 62:
-            limbs, bound = _carry(limbs), 1 << 32
-        bound *= growth
-        if op is None:
-            whole = half // e * e
-            classes = limbs[:, :whole].reshape(len(limbs), -1, e)
-            np.cumsum(classes, axis=1, out=classes)
-            limbs[:, whole:] += limbs[:, whole - e:half - e]
+    num = Counter(numerator)
+    folds, divisions = [], []
+    for h in sorted((h for h in denominator if h < half), reverse=True):
+        m = next((m for m in range(2, _FOLD_MAX + 1) if num[m * h] > 0), 0)
+        if m:
+            num[m * h] -= 1
+            folds.append((h, min(m, -(-half // h))))  # (hook, terms below half)
         else:
-            limbs[:, e:] = op(limbs[:, e:], limbs[:, :half - e])
-    if len(limbs) == 1:
-        lower = limbs[0].tolist()
+            divisions.append(h)
+    # (exponent, bound growth, terms): terms None for a numerator, the fold's
+    # terms, or 0 for a division
+    steps = [(k, 2, None) for k in sorted(num.elements()) if k < half]
+    steps += [(h, terms, terms) for h, terms in folds]
+    steps += [(h, -(-half // h), 0) for h in divisions]
+    buf = np.zeros((_ROW_BLOCK, half), dtype=np.int64)
+    buf[0, 0] = 1
+    rows, bound = 1, 1
+    for e, growth, terms in steps:
+        if bound * growth > 1 << 62:
+            buf, rows = _carry(buf, rows)
+            bound = 1 << 32
+        bound *= growth
+        limbs = buf[:rows]
+        if terms is None:  # times 1 - q^e
+            limbs[:, e:] -= limbs[:, :half - e]
+        elif terms:  # times 1 + q^e + ... + q^((terms - 1) e)
+            src = limbs[:, :half - e].copy()
+            for shift in range(e, terms * e, e):
+                limbs[:, shift:] += src[:, :half - shift]
+        else:  # divided by 1 - q^e
+            whole = half // e * e
+            for row in limbs:
+                classes = row[:whole].reshape(-1, e)
+                np.cumsum(classes, axis=0, out=classes)
+            limbs[:, whole:] += limbs[:, whole - e:half - e]
+    if rows == 1:
+        lower = buf[0].tolist()
     else:
-        limbs = _carry(limbs)
-        records = np.ascontiguousarray(limbs.T, dtype="<u4").view(f"V{4 * len(limbs)}")
+        buf, rows = _carry(buf, rows)
+        records = np.ascontiguousarray(buf[:rows].T, dtype="<u4").view(f"V{4 * rows}")
         lower = list(map(_from_le_bytes, records.ravel().tolist()))
     upper = lower[:degree + 1 - half][::-1]
     if (len(numerator) - len(denominator)) % 2:
@@ -170,20 +208,24 @@ def _q_ratio(numerator: Sequence[int], denominator: Sequence[int]) -> np.ndarray
 _from_le_bytes = functools.partial(int.from_bytes, byteorder="little", signed=True)
 
 
-def _carry(limbs: np.ndarray) -> np.ndarray:
-    """The same values with every row but the top in [0, 2^32) and the top
-    in [-2^31, 2^31), a row appended when the top leaves that range.
+def _carry(buf: np.ndarray, rows: int) -> tuple[np.ndarray, int]:
+    """The same values in buf[:rows] with every row but the top in [0, 2^32)
+    and the top in [-2^31, 2^31), a row added when the top leaves that range
+    (buf grows by _ROW_BLOCK rows when it has no spare one).
 
     The floor shift >> carries negative limbs too.  Entries up to 2^62 in
     magnitude carry at most 2^30 into the next row, so nothing overflows.
     """
-    for j in range(len(limbs) - 1):
-        limbs[j + 1] += limbs[j] >> 32
-        limbs[j] &= 0xFFFFFFFF
-    if ((limbs[-1] + (1 << 31)) >> 32).any():
-        limbs = np.vstack([limbs, limbs[-1] >> 32])
-        limbs[-2] &= 0xFFFFFFFF
-    return limbs
+    for j in range(rows - 1):
+        buf[j + 1] += buf[j] >> 32
+        buf[j] &= 0xFFFFFFFF
+    if ((buf[rows - 1] + (1 << 31)) >> 32).any():
+        if rows == len(buf):
+            buf = np.concatenate([buf, np.empty((_ROW_BLOCK, buf.shape[1]), np.int64)])
+        np.right_shift(buf[rows - 1], 32, out=buf[rows])
+        buf[rows - 1] &= 0xFFFFFFFF
+        rows += 1
+    return buf, rows
 
 
 @functools.cache
@@ -445,70 +487,131 @@ def kolmogorov_distance_to_normal(poly: QPolynomial) -> float:
     divides each exact running sum P_k = c_0 + ... + c_k by the mass M once
     (correctly rounded) and compares it, and the sum before it, with
     Phi(s) = 0.5 erfc(-s / sqrt 2) as in standard_normal_cdf.  No list of the
-    running sums is held: each pass below streams them again.
+    running sums is held: each pass below streams them again.  A mean, a
+    variance or a running sum over M past float range (the last possible
+    only with a negative coefficient) raises OutOfRange where the scalar
+    loop raises OverflowError.
 
-    The moments come from the running sums in exact integers.  With L
-    coefficients, T1 = sum_k P_k and T2 = sum_k (P_0 + ... + P_k):
-    sum_i i c_i = L M - T1 and sum_i i^2 c_i = L^2 M - (2L + 1) T1 + 2 T2,
-    since sum_i f(i) c_i = sum_k (f(k + 1) - f(k)) (M - P_k) with f(0) = 0.
-    One pass of three running sums gives both: T2 is its last value and T1
-    the last step.  So the mean and the variance are the same Fractions as
+    The passes run over the first ceil(L / 2) of the L coefficients when they
+    are a palindrome (as every maj law is), and over all of them otherwise.
+    The jump at index L - 1 - i then mirrors the jump at i: the running sums
+    at and below it are M - P_(i-1) and M - P_i, and its abscissa is the
+    mirror image about the mean, offset + (L - 1) / 2.
+
+    The moments come from the running sums in exact integers.  With K
+    coefficients scanned, their mass M_K = P_(K-1), T1 = sum_(k<K) P_k and
+    T2 = sum_(k<K) (P_0 + ... + P_k): sum_(i<K) i c_i = K M_K - T1 and
+    sum_(i<K) i^2 c_i = K^2 M_K - (2K + 1) T1 + 2 T2, since
+    sum_i f(i) c_i = sum_k (f(k + 1) - f(k)) (M_K - P_k) with f(0) = 0.  One
+    pass of three running sums gives both: T2 is its last value and T1 the
+    last step.  With K = L the mean is offset + S1 / M and the variance
+    (S2 M - S1^2) / M^2; for a palindrome the mean is offset + (L - 1) / 2
+    and M times the variance is twice the scan's sum of (i - mean)^2 c_i (the
+    centre of an odd L adds 0).  Either way they are the same Fractions as
     moment(1) and moment(2) - mean^2.
 
     The correctly rounded division is then made only where the supremum can
-    sit.  A second pass approximates each P_k / M in floats, shifted so that
-    nothing overflows: (P_k >> cut) / (M >> mass_cut) * 2^(cut - mass_cut),
-    the cuts taking sum_i |c_i| (M itself unless a coefficient is negative)
-    and M to 1000 bits.  That is within 3.01 * 2^-53 * m of P_k / M, where
-    m = max(1, max_k |P_k / M|), so each jump's gap max(|here - Phi|,
-    |below - Phi|) is within 8.02 * 2^-53 * m (about 8.9e-16 m) of the scalar
-    loop's.  A jump whose approximate gap is within 1e-14 m of the largest
-    (more than twice that error) is a candidate; the scalar loop's maximum
-    is always one.  A third pass, up to the last candidate, picks out the
-    exact sums at and below each candidate, and their gaps give the value.
-    If every gap lies within the margin, every jump is divided exactly, at
-    the cost of the scalar loop.
+    sit.  A second pass approximates each scanned P_k / M in floats, shifted
+    so that nothing overflows: (P_k >> cut) / (M >> mass_cut) * 2^(cut -
+    mass_cut), the cuts taking the scan's sum of |c_i| (M_K itself unless a
+    coefficient is negative) and M to 1000 bits.  That is within
+    3.01 * 2^-53 * m of P_k / M, where m = max(1, max |P / M|) over the
+    running sums at all jumps, mirrored ones included, so each jump's gap
+    max(|here - Phi|, |below - Phi|) is within 8.02 * 2^-53 * m of the scalar
+    loop's.  A mirrored jump takes its scanned partner's approximate gap.  To
+    that error it adds at most (1.5 u + 1) 2^-53 + 0.4 |s + s'|: the two erfc
+    values behind Phi(s') and 1 - Phi(s) are within u ulp each, and s, s' are
+    the standardised abscissae of the pair, with s' = -s exactly while
+    |offset| + L < 2^52 (mean and abscissae are exact floats then).  A jump
+    whose approximate gap is within 1e-14 m + max |s + s'| of the largest is
+    a candidate.  1e-14 m is 90 * 2^-53 * m, more than twice either error
+    while u <= 24 (a few ulp is usual for erfc), so the scalar loop's maximum
+    is always a candidate or the mirror of one.  A third pass, up to the
+    last candidate, picks out the exact sums at and below each candidate,
+    and their gaps, with those of their mirrors, give the value.  If every
+    gap lies within the margin, every jump is divided exactly, at the cost
+    of the scalar loop.
     """
     coeffs = poly.coeffs
     size = len(coeffs)
     mass = poly.at_one()
+    palindrome = poly._palindromic()
+    scan = coeffs[:(size + 1) // 2] if palindrome else coeffs
+    width = len(scan)
+    # the scan's mass: half of M, with the centre of an odd L counted once more
+    part = (mass + (coeffs[size // 2] if size % 2 else 0)) // 2 if palindrome else mass
     # running sums of Q_k = P_0 + ... + P_k after two zeros: the last two
     # are T2 - T1 and T2
-    before, t2 = deque(accumulate(accumulate(accumulate(coeffs), initial=0), initial=0), maxlen=2)
+    before, t2 = deque(accumulate(accumulate(accumulate(scan), initial=0), initial=0), maxlen=2)
     t1 = t2 - before
-    s1 = size * mass - t1
-    s2 = size * size * mass - (2 * size + 1) * t1 + 2 * t2
-    mean = poly.offset + poly._normalised(s1)
-    var = poly._normalised(s2 * mass - s1 * s1, 2)
-    if var <= 0 or float(var) == 0:  # also a positive variance below float range
+    s1 = width * part - t1
+    s2 = width * width * part - (2 * width + 1) * t1 + 2 * t2
+    if palindrome:  # sum of (2i - (L - 1))^2 c_i over the scan, divided by 2 M
+        var = poly._normalised(4 * s2 - 4 * (size - 1) * s1 + (size - 1) ** 2 * part) / 2
+        mean = poly.offset + Fraction(size - 1, 2)
+    else:
+        mean = poly.offset + poly._normalised(s1)
+        var = poly._normalised(s2 * mass - s1 * s1, 2)
+    try:
+        var_f, mean_f = (float(var) if var > 0 else 0.0), float(mean)
+    except OverflowError:
+        raise OutOfRange("the mean or the variance of the law exceeds float range") from None
+    if var_f == 0:  # also a positive variance below float range
         raise DegenerateDistribution("zero variance; nothing to standardise")
-    sd = math.sqrt(float(var))
-    jumps = np.fromiter(compress(count(poly.offset), coeffs), float)
-    s = (jumps - float(mean)) / sd
-    gauss = 0.5 * np.fromiter(map(math.erfc, (-s / math.sqrt(2.0)).tolist()), float)
-    widest = mass if min(coeffs) >= 0 else sum(map(abs, coeffs))  # bounds every |P_k|
+    sd = math.sqrt(var_f)
+    top = poly.offset + size - 1  # the exponent of the last coefficient
+    if abs(poly.offset) + size < 1 << 53:  # every abscissa is an exact float
+        index = np.flatnonzero(np.fromiter(map(bool, scan), bool, width))
+        jumps = index + float(poly.offset)
+        mirrors = float(top) - index
+    else:  # each exponent rounded from its Python int
+        jumps = np.fromiter(compress(count(poly.offset), scan), float)
+        mirrors = np.fromiter(compress(count(top, -1), scan), float) if palindrome else None
+    s = (jumps - mean_f) / sd
+    gauss = _standard_normal_cdf(s)
+    widest = part if min(scan) >= 0 else sum(map(abs, scan))  # bounds every scanned |P_k|
     cut = max(0, widest.bit_length() - 1000)
     mass_cut = max(0, mass.bit_length() - 1000)
-    sums = accumulate(compress(coeffs, coeffs))  # the running sum at each jump
+    sums = accumulate(compress(scan, scan))  # the running sum at each jump
     tops = map(rshift, sums, repeat(cut)) if cut else sums  # a shift by 0 copies
     with np.errstate(over="ignore"):  # inf only where the exact ratio overflows too
         cdf = np.fromiter(map(float, tops), float, len(jumps)) / float(mass >> mass_cut)
         cdf = np.ldexp(cdf, cut - mass_cut)
     below = np.concatenate([[0.0], cdf[:-1]])  # the CDF just below each jump
     gap = np.maximum(np.abs(cdf - gauss), np.abs(below - gauss))
-    margin = 1e-14 * max(1.0, float(np.abs(cdf).max()))
+    spread, skew = np.abs(cdf).max(), 0.0
+    if palindrome:
+        mirror_s = (mirrors - mean_f) / sd
+        spread = max(spread, np.abs(1.0 - below).max())  # the CDF at the mirrors
+        skew = np.abs(s + mirror_s).max()
+    margin = 1e-14 * max(1.0, float(spread)) + float(skew)
     near = np.flatnonzero(gap + margin >= gap.max())
     # exact[j] is the running sum below jump j, exact[j + 1] the one at it
     wanted = np.zeros(near[-1] + 2, bool)
     wanted[near] = wanted[near + 1] = True
     exact = dict(zip(
         np.flatnonzero(wanted).tolist(),
-        compress(accumulate(compress(coeffs, coeffs), initial=0), wanted.tolist()),
+        compress(accumulate(compress(scan, scan), initial=0), wanted.tolist()),
     ))
+    # (sum at, sum below, Phi) at each candidate, then at each mirror
+    refine = [(exact[j + 1], exact[j], g) for j, g in zip(near.tolist(), gauss[near].tolist())]
+    if palindrome:
+        refine += [
+            (mass - exact[j], mass - exact[j + 1], g)
+            for j, g in zip(near.tolist(), _standard_normal_cdf(mirror_s[near]).tolist())
+        ]
     worst = 0.0
-    for j, g in zip(near.tolist(), gauss[near].tolist()):
-        worst = max(worst, abs(exact[j + 1] / mass - g), abs(exact[j] / mass - g))
+    try:
+        for here, under, g in refine:
+            worst = max(worst, abs(here / mass - g), abs(under / mass - g))
+    except OverflowError:
+        raise OutOfRange("a running sum of the law exceeds float range times its mass") from None
     return worst
+
+
+def _standard_normal_cdf(s: np.ndarray) -> np.ndarray:
+    """standard_normal_cdf at each entry, bit for bit (one math.erfc each)."""
+    return 0.5 * np.fromiter(map(math.erfc, (-s / math.sqrt(2.0)).tolist()), float, len(s))
 
 
 def log_laplace_exact(lam: Partition, z: complex) -> complex:

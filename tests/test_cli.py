@@ -237,6 +237,12 @@ class TestLd:
             assert code == 2 and out == ""
             assert "--n" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("family", ["two-row", "three-row", "staircase"])
+    def test_a_size_below_one_fails_after_the_rows_before_it(self, capsys, family):
+        code, out, err = run(capsys, "ld", "--family", family, "--y", "0.02", "--n", "20,0,40")
+        assert code == 2 and err == "error: n must be >= 1\n"
+        assert [line.split(",")[0] for line in out.splitlines()] == ["n", "20"]
+
     def test_out_of_range(self, capsys):
         code, _, err = run(capsys, "ld", "--family", "two-row", "--y", "0.2", "--n", "20")
         assert code == 4

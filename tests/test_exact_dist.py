@@ -127,6 +127,15 @@ class TestMajPolynomial:
         poly = maj_polynomial(Partition((3, 2)))
         assert QPolynomial.from_json(poly.to_json()) == poly
 
+    @pytest.mark.parametrize("coeffs", [
+        [1], [1, 1], [1, 2, 1], [3, 0, 0, 3], [5, -2, 7, -2, 5],  # palindromes, odd and even
+        [1, 2], [1, 0, 2, 1], [2**200, 1, 2**200 + 1],  # not palindromes
+    ])
+    def test_json_strings_are_each_coefficient(self, coeffs):
+        poly = QPolynomial(coeffs, offset=4)
+        assert poly.to_json() == {"offset": 4, "coeffs": [str(c) for c in coeffs]}
+        assert QPolynomial.from_json(poly.to_json()) == poly
+
 
 class TestMajPolynomialSn:
     def test_small(self):
@@ -405,10 +414,13 @@ class TestKolmogorov:
         poly = maj_polynomial(Partition((5, 3, 1))).shifted(10**20)
         assert kolmogorov_distance_to_normal(poly) == _d_kol_reference(poly)
 
-    def test_bit_identical_with_a_mass_past_float_range(self):
-        base = maj_polynomial(Partition((4, 2, 2, 1))).coeffs
-        poly = QPolynomial([c * 10**400 + i for i, c in enumerate(base)], offset=3)
-        assert poly.at_one() > 2**1100
+    @pytest.mark.parametrize("lam", [(4, 2, 2, 1), (6, 3, 1), (5, 5, 2, 2)])
+    @pytest.mark.parametrize("palindrome", [False, True])
+    def test_bit_identical_with_a_mass_past_float_range(self, lam, palindrome):
+        base = maj_polynomial(Partition(lam)).coeffs
+        tilt = [min(i, len(base) - 1 - i) if palindrome else i for i in range(len(base))]
+        poly = QPolynomial([c * 10**400 + t for c, t in zip(base, tilt)], offset=3)
+        assert poly.at_one() > 2**1100 and (poly.coeffs == poly.coeffs[::-1]) == palindrome
         assert kolmogorov_distance_to_normal(poly) == _d_kol_reference(poly)
 
     @pytest.mark.parametrize("coeffs", [
@@ -425,8 +437,68 @@ class TestKolmogorov:
         poly = QPolynomial([2**1030, -(2**1031), 2**1030 + 1])
         with pytest.raises(OverflowError):
             _d_kol_reference(poly)
-        with pytest.raises(OverflowError):
+        with pytest.raises(OutOfRange):
             kolmogorov_distance_to_normal(poly)
+
+    # x (1, -3, 3, -1) and x (1, -4, 6, -4, 1), x = 2^1030, move neither the
+    # mass nor the first two moments of (0, 1, 1, 0) and (0, 1, 0, 1, 0), so
+    # only the running sums (about x / 2 times the mass) leave float range
+    @pytest.mark.parametrize("coeffs", [
+        [2**1030, -3 * 2**1030 + 1, 3 * 2**1030 + 1, -(2**1030)],
+        [2**1030, -4 * 2**1030 + 1, 6 * 2**1030, -4 * 2**1030 + 1, 2**1030],  # a palindrome
+    ])
+    def test_only_a_running_sum_past_float_range_is_out_of_range(self, coeffs):
+        poly = QPolynomial(coeffs)
+        assert poly.moment(2) - poly.moment(1) ** 2 < 2
+        with pytest.raises(OverflowError):
+            _d_kol_reference(poly)
+        with pytest.raises(OutOfRange):
+            kolmogorov_distance_to_normal(poly)
+
+    # past 2^52 the mean or the abscissae round, unevenly about the mean at
+    # 10^20 + 8190 (the tie 10^20 + 8192 rounds down, the rest up)
+    @pytest.mark.parametrize(
+        "offset", [0, -7, 10**6, 2**52 + 3, 2**53 - 40, 2**53, 10**20, -(10**20), 10**20 + 8190]
+    )
+    @pytest.mark.parametrize("coeffs", [
+        [1, 3, 3, 1], [1, 4, 6, 4, 1], [1] * 9,  # even and odd length
+        [2, 0, 0, 5, 0, 0, 2], [1, 0, 3, 3, 0, 1],  # interior zeros
+        [4, -1, 3, -1, 4], [2, -1, -1, 2],  # signed palindromes
+        [1, 0, 0, 0, 100, 0, 0, 0, 1],  # the supremum at the centre jump
+        [1, 1, 0, 0, 0, 60, 60, 0, 0, 0, 1, 1],  # at the jump below the centre
+    ])
+    def test_bit_identical_on_palindromes(self, coeffs, offset):
+        poly = QPolynomial(coeffs, offset)
+        assert kolmogorov_distance_to_normal(poly) == _d_kol_reference(poly)
+
+    def test_supremum_at_the_centre_jump(self):
+        # the CDF steps from 1/102 to 101/102 where Phi is 1/2
+        poly = QPolynomial([1, 0, 0, 0, 100, 0, 0, 0, 1])
+        value = kolmogorov_distance_to_normal(poly)
+        assert value == _d_kol_reference(poly) and abs(value - 50 / 102) < 1e-15
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=30), st.booleans(),
+           st.sampled_from([0, 3, 10**20]))
+    def test_bit_identical_on_any_palindrome(self, half, odd, offset):
+        poly = QPolynomial(half + half[len(half) - 1 - odd::-1], offset)
+        assume(len(poly.coeffs) > 1)
+        assert kolmogorov_distance_to_normal(poly) == _d_kol_reference(poly)
+
+    def test_mirrored_phi_is_within_the_margin_of_one_minus_phi(self):
+        # A mirrored jump takes its partner's gap; the candidate margin holds
+        # while Phi(-s) and 1 - Phi(s) differ by at most (1.5 u + 1) 2^-53
+        # with u = 24, i.e. while math.erfc is within 24 ulp on this platform.
+        rng = np.random.default_rng(0)
+        s = np.concatenate([
+            np.linspace(-40, 40, 400_001),
+            np.geomspace(1e-300, 40, 20_001),
+            rng.standard_normal(100_000) * 8,
+        ])
+        s = np.concatenate([s, -s])
+        phi = exact_dist._standard_normal_cdf
+        gap = np.abs(phi(-s) - (1 - phi(s)))
+        assert gap.max() <= (1.5 * 24 + 1) * 2**-53
 
     def test_variance_below_float_range(self):
         with pytest.raises(DegenerateDistribution):
@@ -583,6 +655,14 @@ class TestQRatio:
             ([5], []), ([2, 9], [1]), ([2, 40], [1, 1]),  # numerators past the half
             ([4], [2]), ([4, 4, 6], [2, 2, 3]), ([3, 8], [4]),  # pairs k = 2h
             ([1] * 80, []), ([2] * 70, [1] * 70),  # binomials past int64
+            # 5 m is the hook 5's one multiple below 50, folded for m <= 8;
+            # the numerators 50..52 lift half to 77 or more
+            *[([5 * m, 50, 51, 52], [5]) for m in range(2, 10)],
+            ([15, 1], [5]), ([24], [3]), ([8], [1]),  # m h >= half: truncated folds
+            ([24, 40, 41], [8, 6]),  # 8 takes 24 (m = 3), so 6 is divided out
+            ([12, 18, 40, 41], [6, 6]),  # the second hook 6 takes 18 (m = 3)
+            ([40, 30, 20, 7, 9], [10, 10, 10]),  # one hook on each of m = 2, 3, 4
+            ([24, 16, 3, 5, 70], [8, 4, 2, 1]),  # folds, subtractions and divisions
         ],
     )
     def test_matches_reference_off_the_partition_path(self, numerator, denominator):
@@ -606,10 +686,11 @@ class TestQRatio:
             right = q ** b_stat(lam) * math.prod(q**k - 1 for k in range(1, n + 1))
             assert left == right
 
-    @pytest.mark.parametrize("k", [63, 64, 65, 96, 97, 128, 130])
+    @pytest.mark.parametrize("k", [63, 64, 65, 96, 97, 128, 130, 300])
     def test_signed_binomials_across_limb_rows(self, k):
         # (1 - q)^k: alternating signs, so negative limbs are carried and the
-        # top row is negative; past 2^62 and 2^94 rows are appended
+        # top row is negative; past 2^62 and 2^94 rows are appended, and past
+        # 2^254 the limb array grows by a block of rows
         expected = [(-1) ** i * math.comb(k, i) for i in range(k + 1)]
         assert _q_ratio([1] * k, []).tolist() == expected
 
