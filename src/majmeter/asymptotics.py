@@ -583,9 +583,13 @@ def bochner_check(
     return matrix, float(np.linalg.eigvalsh(matrix).min())
 
 
-def standard_normal_cdf(s: float) -> float:
-    """Phi(s) through erfc; absolute error well below 1e-15."""
-    return 0.5 * math.erfc(-s / math.sqrt(2.0))
+def standard_normal_cdf(s: float | np.ndarray) -> float | np.ndarray:
+    """Phi(s) through erfc; absolute error well below 1e-15.  An array takes
+    one math.erfc per entry, so each entry is bit for bit the scalar value."""
+    x = -s / math.sqrt(2.0)
+    if isinstance(x, np.ndarray):
+        return 0.5 * np.fromiter(map(math.erfc, x.ravel().tolist()), float).reshape(x.shape)
+    return 0.5 * math.erfc(x)
 
 
 def edgeworth_cdf(

@@ -211,8 +211,8 @@ def cmd_dist(args) -> int:
             else:
                 lines.append(f"# {key}={_fmt(payload[key])}")
         lines.append("maj,count")
-        for i, c in enumerate(poly.coeffs):
-            lines.append(f"{poly.offset + i},{c}")
+        for m, c in enumerate(payload["coeffs"], start=poly.offset):
+            lines.append(f"{m},{c}")
         _write(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

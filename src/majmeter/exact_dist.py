@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .asymptotics import _check_half_domain, bernoulli, varphi
+from .asymptotics import _check_half_domain, bernoulli, standard_normal_cdf, varphi
 from .errors import CapExceeded, DegenerateDistribution, OddOrder, OutOfRange
 from .partitions import (
     Partition,
@@ -116,9 +116,9 @@ _FOLD_MAX = 8
 _ROW_BLOCK = 8  # limb rows allocated at a time
 
 
-def _q_ratio(numerator: Sequence[int], denominator: Sequence[int]) -> np.ndarray:
+def _q_ratio(numerator: Sequence[int], denominator: Sequence[int]) -> list[int]:
     """Coefficients of P = prod(1 - q^k, numerator) / prod(1 - q^h, denominator)
-    as a dtype=object array of Python ints.
+    as a list of Python ints.
 
     1 - q^h = -prod(Phi_d, d | h) over the cyclotomic Phi_d, so P is a
     polynomial iff, for every d, at least as many k as h are multiples of d;
@@ -202,7 +202,7 @@ def _q_ratio(numerator: Sequence[int], denominator: Sequence[int]) -> np.ndarray
     upper = lower[:degree + 1 - half][::-1]
     if (len(numerator) - len(denominator)) % 2:
         upper = [-c for c in upper]
-    return np.array(lower + upper, dtype=object)
+    return lower + upper
 
 
 _from_le_bytes = functools.partial(int.from_bytes, byteorder="little", signed=True)
@@ -262,7 +262,7 @@ def maj_polynomial(lam: Partition, exact_cap: int = BIGINT_CAP) -> QPolynomial:
             f"|lambda| = {n} exceeds the exact big-integer cap {exact_cap}; "
             "use maj_polynomial_float for the extended-precision variant"
         )
-    poly = QPolynomial(_q_ratio(*_ratio_factors(lam)).tolist(), b_stat(lam))
+    poly = QPolynomial(_q_ratio(*_ratio_factors(lam)), b_stat(lam))
     if poly.at_one() != count_standard_tableaux(lam):
         raise AssertionError("polynomial mass does not match the hook count")
     if min(poly.coeffs) < 0:
@@ -351,7 +351,7 @@ def maj_polynomial_sn(n: int) -> QPolynomial:
     the product of the q-integers [1]_q ... [n]_q."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return QPolynomial(_q_ratio(range(1, n + 1), [1] * n).tolist(), 0)
+    return QPolynomial(_q_ratio(range(1, n + 1), [1] * n), 0)
 
 
 def exact_cumulant(lam: Partition, r: int) -> Fraction:
@@ -485,12 +485,11 @@ def kolmogorov_distance_to_normal(poly: QPolynomial) -> float:
 
     The result is bit for bit that of a scalar loop over the jumps which
     divides each exact running sum P_k = c_0 + ... + c_k by the mass M once
-    (correctly rounded) and compares it, and the sum before it, with
-    Phi(s) = 0.5 erfc(-s / sqrt 2) as in standard_normal_cdf.  No list of the
-    running sums is held: each pass below streams them again.  A mean, a
-    variance or a running sum over M past float range (the last possible
-    only with a negative coefficient) raises OutOfRange where the scalar
-    loop raises OverflowError.
+    (correctly rounded) and compares it, and the sum before it, with Phi
+    from standard_normal_cdf.  No list of the running sums is held: each pass
+    below streams them again.  A mean, a variance or a running sum over M
+    past float range (the last possible only with a negative coefficient)
+    raises OutOfRange where the scalar loop raises OverflowError.
 
     The passes run over the first ceil(L / 2) of the L coefficients when they
     are a palindrome (as every maj law is), and over all of them otherwise.
@@ -568,7 +567,7 @@ def kolmogorov_distance_to_normal(poly: QPolynomial) -> float:
         jumps = np.fromiter(compress(count(poly.offset), scan), float)
         mirrors = np.fromiter(compress(count(top, -1), scan), float) if palindrome else None
     s = (jumps - mean_f) / sd
-    gauss = _standard_normal_cdf(s)
+    gauss = standard_normal_cdf(s)
     widest = part if min(scan) >= 0 else sum(map(abs, scan))  # bounds every scanned |P_k|
     cut = max(0, widest.bit_length() - 1000)
     mass_cut = max(0, mass.bit_length() - 1000)
@@ -598,7 +597,7 @@ def kolmogorov_distance_to_normal(poly: QPolynomial) -> float:
     if palindrome:
         refine += [
             (mass - exact[j], mass - exact[j + 1], g)
-            for j, g in zip(near.tolist(), _standard_normal_cdf(mirror_s[near]).tolist())
+            for j, g in zip(near.tolist(), standard_normal_cdf(mirror_s[near]).tolist())
         ]
     worst = 0.0
     try:
@@ -607,11 +606,6 @@ def kolmogorov_distance_to_normal(poly: QPolynomial) -> float:
     except OverflowError:
         raise OutOfRange("a running sum of the law exceeds float range times its mass") from None
     return worst
-
-
-def _standard_normal_cdf(s: np.ndarray) -> np.ndarray:
-    """standard_normal_cdf at each entry, bit for bit (one math.erfc each)."""
-    return 0.5 * np.fromiter(map(math.erfc, (-s / math.sqrt(2.0)).tolist()), float, len(s))
 
 
 def log_laplace_exact(lam: Partition, z: complex) -> complex:

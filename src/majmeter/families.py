@@ -28,13 +28,13 @@ def rows_from_frequencies(n: int, freqs) -> Partition:
     within SIMPLEX_TOL."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if any(f < 0 for f in freqs) or any(
+    if any(not f >= 0 for f in freqs) or any(  # NaN fails too
         freqs[i] < freqs[i + 1] for i in range(len(freqs) - 1)
     ):
         raise ValueError("frequencies must be nonnegative and nonincreasing")
     # the remainder lands on the first row, so it must be O(1): frequencies
     # that sum below 1 would silently distort the limit shape
-    if abs(sum(freqs) - 1) > SIMPLEX_TOL:
+    if not abs(sum(freqs) - 1) <= SIMPLEX_TOL:
         raise ValueError("row frequencies must sum to 1")
     rows = [int(n * f) for f in freqs]
     rows[0] += n - sum(rows)

@@ -281,12 +281,12 @@ class DiscreteMeasure:
         merged: dict = {}
         for x, w in atoms:
             _require_atom(x)
-            if w < 0:
-                raise InvalidSimplexPoint(f"negative atom weight {w}")
+            if not w >= 0:  # NaN fails too
+                raise InvalidSimplexPoint(f"atom weight {w} is not nonnegative")
             merged[x] = merged.get(x, 0) + w
         merged.setdefault(0, 0)
         total = sum(merged.values())
-        if abs(total - 1) > SIMPLEX_TOL:
+        if not abs(total - 1) <= SIMPLEX_TOL:
             raise InvalidSimplexPoint(f"atom weights sum to {total}, expected 1")
         # drop zero-weight atoms except the distinguished one at 0
         self.atoms = tuple(
@@ -320,7 +320,7 @@ class DiscreteMeasure:
 
 def _require_atom(x: Scalar) -> None:
     """InvalidSimplexPoint unless the atom location x lies in [-1, 1]."""
-    if abs(x) > 1:
+    if not -1 <= x <= 1:  # NaN fails too
         raise InvalidSimplexPoint(f"atom location {x} outside [-1, 1]")
 
 

@@ -8,6 +8,7 @@ in a row with strictly larger index.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -84,57 +85,58 @@ def maj(tableau: StandardTableau) -> int:
     return sum(descent_set(tableau))
 
 
-def enumerate_standard(lam: Partition) -> Iterator[StandardTableau]:
-    """Backtracking enumeration placing 1..n; yields each tableau exactly once.
+def _row_words(lam: Partition) -> Iterator[tuple[list[int], int]]:
+    """Backtracking over the values 1..n, each tried in the rows from the top
+    down, so the row words come in lexicographic order.  Yields (word, maj)
+    per tableau: word[v - 1] is the 0-based row of value v (one list,
+    overwritten after the yield) and maj is kept as the values are placed.
     At most ENUM_CAP cells (CapExceeded)."""
     n = lam.n
     if n > ENUM_CAP:
         raise CapExceeded(f"|lambda| = {n} exceeds the enumeration cap {ENUM_CAP}")
     rows = lam.rows
-    nrows = len(rows)
-    fill = [0] * nrows
-    grid = [[0] * r for r in rows]
-
-    def place(k: int) -> Iterator[StandardTableau]:
-        if k > n:
-            yield StandardTableau([row[:] for row in grid])
-            return
-        for i in range(nrows):
+    fill = [0] * len(rows)
+    word = [0] * n
+    majs = [0] * (n + 1)  # majs[k]: the descents among 1..k summed
+    k = i = 0  # value k + 1 is tried in row i, then in the rows below it
+    while True:
+        if k < n and i < len(rows):
             if fill[i] < rows[i] and (i == 0 or fill[i - 1] > fill[i]):
-                grid[i][fill[i]] = k
+                word[k] = i
                 fill[i] += 1
-                yield from place(k + 1)
-                fill[i] -= 1
+                majs[k + 1] = majs[k] + k if k and i > word[k - 1] else majs[k]
+                k, i = k + 1, 0
+            else:
+                i += 1
+            continue
+        if k == n:
+            yield word, majs[n]
+        if k == 0:
+            return
+        k -= 1  # take value k + 1 out again and try it one row further down
+        fill[word[k]] -= 1
+        i = word[k] + 1
 
-    yield from place(1)
+
+def _tableau(lam: Partition, word: Iterable[int]) -> StandardTableau:
+    """The tableau of shape lam with value v in the 0-based row word[v - 1]."""
+    grid: list[list[int]] = [[] for _ in lam.rows]
+    for v, i in enumerate(word, start=1):
+        grid[i].append(v)
+    return StandardTableau(grid)
+
+
+def enumerate_standard(lam: Partition) -> Iterator[StandardTableau]:
+    """Every standard tableau of lam once, lazily, in lexicographic order of
+    the row word.  At most ENUM_CAP cells (CapExceeded)."""
+    for word, _ in _row_words(lam):
+        yield _tableau(lam, word)
 
 
 def maj_multiset(lam: Partition) -> dict[int, int]:
-    """Histogram of maj over all standard tableaux (exhaustive oracle).
-    At most ENUM_CAP cells (CapExceeded)."""
-    n = lam.n
-    if n > ENUM_CAP:
-        raise CapExceeded(f"|lambda| = {n} exceeds the enumeration cap {ENUM_CAP}")
-    rows = lam.rows
-    nrows = len(rows)
-    fill = [0] * nrows
-    row_of = [0] * (n + 1)
-    counts: dict[int, int] = {}
-
-    def place(k: int, maj_so_far: int):
-        if k > n:
-            counts[maj_so_far] = counts.get(maj_so_far, 0) + 1
-            return
-        for i in range(nrows):
-            if fill[i] < rows[i] and (i == 0 or fill[i - 1] > fill[i]):
-                row_of[k] = i
-                fill[i] += 1
-                bump = (k - 1) if k > 1 and i > row_of[k - 1] else 0
-                place(k + 1, maj_so_far + bump)
-                fill[i] -= 1
-
-    place(1, 0)
-    return counts
+    """Histogram of maj over all standard tableaux (exhaustive oracle), keyed
+    in order of first occurrence.  At most ENUM_CAP cells (CapExceeded)."""
+    return dict(Counter(m for _, m in _row_words(lam)))
 
 
 def perm_descents(images: Sequence[int]) -> set[int]:
@@ -236,10 +238,7 @@ def _row_blocks(lam: Partition, trials: int, seed: int) -> Iterator[np.ndarray]:
 def sample_uniform(lam: Partition, seed: int) -> StandardTableau:
     """Deterministic-for-seed uniform sample from the standard tableaux of lam."""
     (block,) = _row_blocks(lam, 1, seed)
-    grid: list[list[int]] = [[] for _ in lam.rows]
-    for v, i in enumerate(block[:, 0].tolist(), start=1):
-        grid[i].append(v)
-    return StandardTableau(grid)
+    return _tableau(lam, block[:, 0].tolist())
 
 
 def sample_row_sequences(

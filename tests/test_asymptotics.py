@@ -641,7 +641,8 @@ class TestPsi:
         limit = psi_integrand(0, y, z)
         assert abs(general - limit) < 1e-5
 
-    @pytest.mark.parametrize("x, y", [(1.5, 0.2), (0.2, -1.5), (-2.0, 3.0)])
+    @pytest.mark.parametrize(
+        "x, y", [(1.5, 0.2), (0.2, -1.5), (-2.0, 3.0), (math.nan, 0.5), (0.5, math.nan)])
     def test_atom_outside_the_unit_interval(self, x, y):
         # the rule and the message of DiscreteMeasure
         with pytest.raises(InvalidSimplexPoint, match=r"outside \[-1, 1\]"):
@@ -1044,6 +1045,14 @@ class TestNormalCdf:
     def test_against_scipy(self):
         for s in (-3.0, -1.0, 0.0, 0.5, 2.5):
             assert abs(standard_normal_cdf(s) - norm.cdf(s)) < 1e-14
+
+    def test_array_is_the_scalar_bit_for_bit(self):
+        tiny = np.geomspace(1e-300, 1e-3, 301)
+        grid = np.concatenate([np.linspace(-40, 40, 8001), tiny, -tiny, [0.0, -0.0]])
+        scalar = np.array([standard_normal_cdf(s) for s in grid.tolist()])
+        assert np.array_equal(standard_normal_cdf(grid).view(np.uint64), scalar.view(np.uint64))
+        square = standard_normal_cdf(grid[:8000].reshape(80, 100))
+        assert np.array_equal(square.ravel().view(np.uint64), scalar[:8000].view(np.uint64))
 
 
 class TestDomainStability:

@@ -496,7 +496,7 @@ class TestKolmogorov:
             rng.standard_normal(100_000) * 8,
         ])
         s = np.concatenate([s, -s])
-        phi = exact_dist._standard_normal_cdf
+        phi = asymptotics.standard_normal_cdf
         gap = np.abs(phi(-s) - (1 - phi(s)))
         assert gap.max() <= (1.5 * 24 + 1) * 2**-53
 
@@ -642,10 +642,10 @@ class TestQRatio:
     def test_matches_multiply_then_divide(self, lam, rng):
         numerator, denominator = exact_dist._ratio_factors(lam)
         expected = _q_ratio_reference(numerator, denominator)
-        assert _q_ratio(numerator, denominator).tolist() == expected
+        assert _q_ratio(numerator, denominator) == expected
         rng.shuffle(numerator)
         rng.shuffle(denominator)
-        assert _q_ratio(numerator, denominator).tolist() == expected
+        assert _q_ratio(numerator, denominator) == expected
 
     @pytest.mark.parametrize(
         "numerator, denominator",
@@ -667,11 +667,11 @@ class TestQRatio:
     )
     def test_matches_reference_off_the_partition_path(self, numerator, denominator):
         expected = _q_ratio_reference(numerator, denominator)
-        assert _q_ratio(numerator, denominator).tolist() == expected
+        assert _q_ratio(numerator, denominator) == expected
 
     def test_odd_count_gap_mirrors_with_a_sign(self):
-        assert _q_ratio([1], []).tolist() == [1, -1]
-        assert _q_ratio([2, 9], [1]).tolist() == [1, 1] + [0] * 7 + [-1, -1]
+        assert _q_ratio([1], []) == [1, -1]
+        assert _q_ratio([2, 9], [1]) == [1, 1] + [0] * 7 + [-1, -1]
 
     @pytest.mark.parametrize(
         "build, n", [(two_row, 300), (staircase, 300), (three_row, 180)]
@@ -692,7 +692,7 @@ class TestQRatio:
         # top row is negative; past 2^62 and 2^94 rows are appended, and past
         # 2^254 the limb array grows by a block of rows
         expected = [(-1) ** i * math.comb(k, i) for i in range(k + 1)]
-        assert _q_ratio([1] * k, []).tolist() == expected
+        assert _q_ratio([1] * k, []) == expected
 
     @pytest.mark.parametrize("n", [60, 100])
     def test_sn_against_a_product_of_q_integers(self, n):
@@ -707,7 +707,7 @@ class TestQRatio:
     def test_matches_reference_on_multi_row_laws(self, lam):
         numerator, denominator = exact_dist._ratio_factors(lam)
         expected = _q_ratio_reference(numerator, denominator)
-        assert _q_ratio(numerator, denominator).tolist() == expected
+        assert _q_ratio(numerator, denominator) == expected
 
 
 class TestPositiveMass:

@@ -30,7 +30,7 @@ from majmeter.errors import (
     InvalidSimplexPoint,
     TooShort,
 )
-from majmeter.families import three_row, two_row
+from majmeter.families import rows_from_frequencies, three_row, two_row
 from majmeter.tableaux import enumerate_standard
 
 from conftest import partition_strategy
@@ -309,6 +309,12 @@ class TestDiscreteMeasure:
         with pytest.raises(InvalidSimplexPoint):
             DiscreteMeasure([(0.5, 0.5), (0.2, 0.4)])
 
+    @pytest.mark.parametrize("w", [-0.5, float("nan")])
+    def test_weight_neither_negative_nor_nan(self, w):
+        # a NaN weight would drop out of the atoms with the total left at 0.5
+        with pytest.raises(InvalidSimplexPoint, match="is not nonnegative"):
+            DiscreteMeasure([(0.5, 0.5), (0.2, w)])
+
     @given(partition_strategy())
     def test_moments_match_frobenius(self, lam):
         mu = measure_of(thoma_embed(lam))
@@ -389,13 +395,18 @@ class TestInputRules:
             with pytest.raises(InvalidSimplexPoint):
                 ThomaParam(freqs, ())
 
+    @pytest.mark.parametrize("freqs", [(float("nan"), 0.5), (0.5, float("nan")), (1.5, -0.5)])
+    def test_row_frequencies_neither_negative_nor_nan(self, freqs):
+        with pytest.raises(ValueError, match="nonnegative and nonincreasing"):
+            rows_from_frequencies(10, freqs)
+
     def test_concentration_uses_the_simplex_tolerance(self):
         assert DiscreteMeasure([(1, 1 - 5e-13), (0.5, 5e-13)]).concentrated_on_pm1()
         assert DiscreteMeasure([(1 - 5e-13, 0.5), (-1, 0.5)]).concentrated_on_pm1()
         assert not DiscreteMeasure([(1, 1 - 1e-11), (0.5, 1e-11)]).concentrated_on_pm1()
         assert not DiscreteMeasure([(1 - 1e-11, 0.5), (-1, 0.5)]).concentrated_on_pm1()
 
-    @pytest.mark.parametrize("x", [1.5, -1.0000001, Fraction(3, 2)])
+    @pytest.mark.parametrize("x", [1.5, -1.0000001, Fraction(3, 2), float("nan")])
     def test_atom_outside_the_unit_interval(self, x):
         with pytest.raises(InvalidSimplexPoint, match=r"outside \[-1, 1\]"):
             DiscreteMeasure([(x, 1)])

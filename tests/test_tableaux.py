@@ -58,6 +58,27 @@ class TestStandardTableau:
         assert StandardTableau.from_text(text) == WORKED_TABLEAU
 
 
+def _grid_search(lam):
+    """Standard tableaux of lam by a recursive backtracking that writes 1..n
+    into a grid, each value tried in the rows from the top down."""
+    rows = lam.rows
+    fill = [0] * len(rows)
+    grid = [[0] * r for r in rows]
+
+    def place(k):
+        if k > lam.n:
+            yield StandardTableau([row[:] for row in grid])
+            return
+        for i in range(len(rows)):
+            if fill[i] < rows[i] and (i == 0 or fill[i - 1] > fill[i]):
+                grid[i][fill[i]] = k
+                fill[i] += 1
+                yield from place(k + 1)
+                fill[i] -= 1
+
+    yield from place(1)
+
+
 class TestEnumeration:
     def test_counts(self):
         assert sum(1 for _ in enumerate_standard(Partition((2, 1)))) == 2
@@ -82,6 +103,11 @@ class TestEnumeration:
             maj_multiset(past)
         with pytest.raises(CapExceeded, match=message):
             next(iter(enumerate_standard(past)))
+
+    def test_order_is_that_of_a_recursive_grid_search(self):
+        for n in range(1, 8):
+            for lam in partitions_of(n):
+                assert list(enumerate_standard(lam)) == list(_grid_search(lam))
 
     def test_counts_match_hook_formula(self):
         for n in range(1, 9):
@@ -115,8 +141,9 @@ class TestDescentsAndMaj:
         assert min(values) == lo == b_stat(lam)
         assert max(values) == hi
 
-    def test_maj_multiset_matches_objects(self):
-        lam = Partition((3, 2, 1))
+    @pytest.mark.parametrize("lam", [lam for n in range(1, 9) for lam in partitions_of(n)],
+                             ids=str)
+    def test_maj_multiset_matches_objects(self, lam):
         expected = Counter(maj(t) for t in enumerate_standard(lam))
         assert maj_multiset(lam) == dict(expected)
 
