@@ -11,6 +11,7 @@ need the halved domain (|Im z| < pi on the imaginary axis).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -25,13 +26,16 @@ from .errors import (
     QuadratureError,
     ZeroAtomUnsupported,
 )
-from .partitions import DiscreteMeasure, Partition, _require_atom, _require_nonempty
+from .partitions import DiscreteMeasure, Partition, _require_atom, _require_nonempty, _require_size
 
 TWO_PI = 2.0 * math.pi
 
 # Most Gauss-Legendre nodes in one rule: leggauss(n) solves a dense n x n
 # eigenproblem, 1 s and 94 MiB at n = 2048, 6.7 s and 287 MiB at n = 4096
 MAX_QUAD_NODES = 4096
+# mock_fourier: Gauss nodes per oscillation period, and the most periods resolved
+PANEL_NODES = 16
+MAX_PANELS = 200_000
 
 
 @lru_cache(maxsize=None)
@@ -129,16 +133,22 @@ def _cut_point(z, cut: float):
     return complex(z.flat[bad[0]]) if bad.size else None
 
 
-def _check_domain(z):
-    bad = _cut_point(z, TWO_PI)
+def _check_domain(z, half: bool = False):
+    """DomainError for z on the cut |Im z| >= 2*pi (half: |Im 2z|, for pairs
+    of atoms) or, where a scalar enters, not finite; the kernel's arrays are
+    checked for the cut only, in one pass."""
+    bad = _cut_point(z, math.pi if half else TWO_PI)
     if bad is not None:
-        raise DomainError(f"{bad} lies on the imaginary-axis cut |Im z| >= 2*pi")
+        scale = "2*" if half else ""
+        raise DomainError(f"{scale}{bad} lies on the imaginary-axis cut |Im z| >= 2*pi")
+    if not isinstance(z, np.ndarray) and not cmath.isfinite(z):
+        raise DomainError(f"argument {z} is not finite")
 
 
-def _check_half_domain(z):
-    bad = _cut_point(z, math.pi)
-    if bad is not None:
-        raise DomainError(f"2*{bad} lies on the imaginary-axis cut |Im z| >= 2*pi")
+def _require_finite(value: float, what: str):
+    """ValueError naming what the value is unless it is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} {value} is not finite")
 
 
 def _horner(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
@@ -292,8 +302,10 @@ def lambda_derivs(
     degenerate corners of the simplex).
     """
     _require_nondegenerate(mu)
+    h = float(h)
+    _check_domain(h)
     quad = quad or DEFAULT_QUAD
-    return tuple(float(_lambda_deriv(mu, float(h), k, quad)) for k in (1, 2, 3))
+    return tuple(float(_lambda_deriv(mu, h, k, quad)) for k in (1, 2, 3))
 
 
 def lambda_prime_limit(mu: DiscreteMeasure) -> float:
@@ -338,7 +350,7 @@ def psi_integrand(x: float, y: float, z: complex) -> complex:
     (InvalidSimplexPoint).
     """
     z = complex(z)
-    _check_half_domain(z)
+    _check_domain(z, half=True)
     _require_atom(x)
     _require_atom(y)
     return complex(_psi_pairs(np.array([x], dtype=float), np.array([y], dtype=float), z)[0])
@@ -348,7 +360,7 @@ def psi_omega(mu: DiscreteMeasure, z: complex) -> complex:
     """Constant-order term: phi(z)/2 plus half the double atom sum of the
     two-atom integrand, evaluated over all pairs of charged atoms at once."""
     z = complex(z)
-    _check_half_domain(z)
+    _check_domain(z, half=True)
     if z == 0:
         return 0j
     # atoms at x = 0 stay: their pairs with other atoms are not zero here
@@ -450,6 +462,7 @@ def ld_estimate(
     takes all of them from the finite-n parameter, conjugating once.
     An estimate below float range raises OutOfRange naming its log.
     """
+    _require_size(n)
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
     if y <= 0:
@@ -484,27 +497,33 @@ def berry_esseen_bound(lam: Partition) -> tuple[float, bool]:
     return 30.0 / math.sqrt(n), n >= 4 and 2 * widest <= n
 
 
-def _oscillatory_log_integral(
-    scale: float, h: float, xi: float, nodes: int = 16, max_panels: int = 200000
-) -> float:
+def _oscillatory_log_integral(scale: float, h: float, xi: float) -> float:
     """int_0^1 log(1 + sin^2(t s xi / 2) / sinh^2(t s h / 2)) dt.
 
-    The integrand oscillates with t-period 2*pi/(s*xi), so one Gauss panel is
-    used per period; past max_panels periods it raises OutOfRange rather than
-    under-resolve. 1/sinh^2(u) is taken as 4 e^-2u / expm1(-2u)^2, which
-    cannot overflow.
+    The integrand oscillates with t-period 2*pi/(s*xi), so one Gauss panel of
+    PANEL_NODES nodes is used per period; past MAX_PANELS periods it raises
+    OutOfRange rather than under-resolve. 1/sinh^2(u) is taken as
+    4 e^-2u / expm1(-2u)^2, which cannot overflow.
     """
     panels = max(1, math.ceil(abs(scale * xi) / TWO_PI))
-    if panels > max_panels:
+    if panels > MAX_PANELS:
         raise OutOfRange(
-            f"frequency xi = {xi} needs {panels} oscillation panels, more than {max_panels}")
-    ts, ws = _gauss_nodes(nodes)
+            f"frequency xi = {xi} needs {panels} oscillation panels, more than {MAX_PANELS}")
+    ts, ws = _gauss_nodes(PANEL_NODES)
     offsets = np.arange(panels, dtype=float)[:, None] / panels
     t = (offsets + np.asarray(ts)[None, :] / panels).ravel()
     w = np.tile(np.asarray(ws) / panels, panels)
     v = t * (scale * h)
     ratio = 4.0 * np.sin(t * (scale * xi / 2.0)) ** 2 * np.exp(-v) / np.expm1(-v) ** 2
     return float(w @ np.log1p(ratio))
+
+
+def _require_tilt(h: float) -> float:
+    """|h| for a tilt that is nonzero (else DegenerateParameter) and finite."""
+    if h == 0:
+        raise DegenerateParameter("tilt h must be nonzero")
+    _require_finite(h, "tilt")
+    return abs(float(h))
 
 
 def mock_fourier(mu: DiscreteMeasure, h: float, xi: float) -> float:
@@ -518,12 +537,11 @@ def mock_fourier(mu: DiscreteMeasure, h: float, xi: float) -> float:
     Nothing checks the 16-node panel rule for convergence: the x = 1 integral
     is off by 4.3e-4 relative at h = 0.05, xi = 50 and 9e-6 at h = 0.5.
     """
-    if h == 0:
-        raise DegenerateParameter("tilt h must be nonzero")
+    h = _require_tilt(h)
     _require_nondegenerate(mu)
+    _require_finite(xi, "frequency")
     if xi == 0:
         return 0.0
-    h = abs(float(h))
     xi = abs(float(xi))
     atoms = _signed_atoms(mu).T.tolist()
     total = sum(w * _oscillatory_log_integral(abs(x), h, xi) for x, w in atoms)
@@ -539,11 +557,9 @@ def mock_fourier_limit(
     Diverges to -infinity when the measure charges {0}; such measures are
     rejected rather than regularised.
     """
-    if h == 0:
-        raise DegenerateParameter("tilt h must be nonzero")
+    h = _require_tilt(h)
     if mu.mass_at_zero() > 0:
         raise ZeroAtomUnsupported("the limit integrand is -inf on an atom at 0")
-    h = abs(float(h))
     xs, ws = _signed_atoms(mu)
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -565,8 +581,7 @@ def bochner_check(
     if not xis:
         raise ValueError("xis must be nonempty")
     for xi in xis:
-        if not math.isfinite(xi):
-            raise ValueError(f"frequency {xi} is not finite")
+        _require_finite(xi, "frequency")
     cache: dict[float, float] = {0.0: 0.0}
 
     def lam_imag(delta: float) -> float:
@@ -601,8 +616,11 @@ def edgeworth_cdf(
     G(t) = Phi(t) - lambda'''(h) (t^2 - 1) e^{-t^2/2} / (6 sqrt(2 pi n lambda''(h)^3));
     the correction integrates to zero, so G(-inf) = 0 and G(+inf) = 1.
     """
+    _require_size(n)
     _require_nondegenerate(mu)
-    lam2, lam3 = (float(_lambda_deriv(mu, float(h), k, quad or DEFAULT_QUAD)) for k in (2, 3))
+    h = float(h)
+    _check_domain(h)
+    lam2, lam3 = (float(_lambda_deriv(mu, h, k, quad or DEFAULT_QUAD)) for k in (2, 3))
     if lam2 <= 0:
         raise DegenerateParameter("second derivative must be positive")
     coef = lam3 / (6.0 * math.sqrt(float(n) * lam2 ** 3))
@@ -613,8 +631,7 @@ def edgeworth_cdf(
 def sn_log_laplace(n: int, z: complex) -> complex:
     """Centred log-Laplace transform of maj/n for a uniform permutation:
     sum_{k=1..n} varphi(kz/n) - n varphi(z/n) - (n-1) z / 4."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_size(n)
     z = complex(z)
     _check_domain(z)
     terms = varphi(np.arange(1, n + 1) * z / n)

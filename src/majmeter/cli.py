@@ -287,6 +287,8 @@ def cmd_bkol(args) -> int:
     build, _ = families.family(args.family)
     lines = ["n,d_kol,bound,hypothesis_ok"]
     for n in _parse_n_list(args.n):
+        if n >= 1:  # a smaller n is the family's usage error
+            exact_dist._require_within_cap(n, args.exact_cap)  # before the shape is built
         lam = build(n)
         bound, ok = asymptotics.berry_esseen_bound(lam)
         poly = exact_dist.maj_polynomial(lam, exact_cap=args.exact_cap)

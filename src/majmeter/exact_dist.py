@@ -14,11 +14,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .asymptotics import _check_half_domain, bernoulli, standard_normal_cdf, varphi
+from .asymptotics import _check_domain, bernoulli, standard_normal_cdf, varphi
 from .errors import CapExceeded, DegenerateDistribution, OddOrder, OutOfRange
 from .partitions import (
     Partition,
     _require_nonempty,
+    _require_size,
     b_stat,
     count_standard_tableaux,
     descent_coordinates,
@@ -248,6 +249,16 @@ def _ratio_factors(lam: Partition) -> tuple[list[int], list[int]]:
     return numerator, denominator
 
 
+def _require_within_cap(n: int, exact_cap: int) -> None:
+    """CapExceeded when a shape of n cells is past the exact big-integer cap;
+    a caller that builds the shape checks its size first."""
+    if n > exact_cap:
+        raise CapExceeded(
+            f"|lambda| = {n} exceeds the exact big-integer cap {exact_cap}; "
+            "use maj_polynomial_float for the extended-precision variant"
+        )
+
+
 def maj_polynomial(lam: Partition, exact_cap: int = BIGINT_CAP) -> QPolynomial:
     """Generating polynomial of maj over the standard tableaux of lam.
 
@@ -256,12 +267,7 @@ def maj_polynomial(lam: Partition, exact_cap: int = BIGINT_CAP) -> QPolynomial:
     then checked against the hook-length count.
     """
     _require_nonempty(lam)
-    n = lam.n
-    if n > exact_cap:
-        raise CapExceeded(
-            f"|lambda| = {n} exceeds the exact big-integer cap {exact_cap}; "
-            "use maj_polynomial_float for the extended-precision variant"
-        )
+    _require_within_cap(lam.n, exact_cap)
     poly = QPolynomial(_q_ratio(*_ratio_factors(lam)), b_stat(lam))
     if poly.at_one() != count_standard_tableaux(lam):
         raise AssertionError("polynomial mass does not match the hook count")
@@ -349,8 +355,7 @@ def _characteristic_function(
 def maj_polynomial_sn(n: int) -> QPolynomial:
     """Generating polynomial of maj over all permutations of 1..n:
     the product of the q-integers [1]_q ... [n]_q."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_size(n)
     return QPolynomial(_q_ratio(range(1, n + 1), [1] * n), 0)
 
 
@@ -483,108 +488,61 @@ def kolmogorov_distance_to_normal(poly: QPolynomial) -> float:
     """sup-distance between the standardised coefficient CDF and Phi, taken
     over both one-sided limits at every jump (every nonzero coefficient).
 
-    The result is bit for bit that of a scalar loop over the jumps which
-    divides each exact running sum P_k = c_0 + ... + c_k by the mass M once
-    (correctly rounded) and compares it, and the sum before it, with Phi
-    from standard_normal_cdf.  No list of the running sums is held: each pass
-    below streams them again.  A mean, a variance or a running sum over M
-    past float range (the last possible only with a negative coefficient)
-    raises OutOfRange where the scalar loop raises OverflowError.
+    The value is _d_kol_loop's, bit for bit, and every law but a maj law
+    takes that loop.  A maj law here has L nonnegative coefficients that read
+    the same reversed and |offset| + L < 2^52.  It takes three streamed
+    passes over its first ceil(L / 2) coefficients.  The jump at L - 1 - i
+    mirrors the one at i: its running sums at and below are M - P_(i-1) and
+    M - P_i (M the mass, P_k = c_0 + ... + c_k), and its standardised
+    abscissa is -s for s at i, since below 2^52 the mean offset + (L - 1) / 2
+    and every abscissa are exact floats.
 
-    The passes run over the first ceil(L / 2) of the L coefficients when they
-    are a palindrome (as every maj law is), and over all of them otherwise.
-    The jump at index L - 1 - i then mirrors the jump at i: the running sums
-    at and below it are M - P_(i-1) and M - P_i, and its abscissa is the
-    mirror image about the mean, offset + (L - 1) / 2.
+    The first pass gives the variance in exact integers: with K coefficients
+    scanned, M_K = P_(K-1), T1 = sum_(k<K) P_k and T2 = sum_(k<K) (P_0 + ...
+    + P_k), sum_(i<K) i c_i = K M_K - T1 and sum_(i<K) i^2 c_i = K^2 M_K -
+    (2K + 1) T1 + 2 T2, by summation by parts; M times the variance is twice
+    the scan's sum of (i - mean)^2 c_i (an odd L's centre adds 0).
 
-    The moments come from the running sums in exact integers.  With K
-    coefficients scanned, their mass M_K = P_(K-1), T1 = sum_(k<K) P_k and
-    T2 = sum_(k<K) (P_0 + ... + P_k): sum_(i<K) i c_i = K M_K - T1 and
-    sum_(i<K) i^2 c_i = K^2 M_K - (2K + 1) T1 + 2 T2, since
-    sum_i f(i) c_i = sum_k (f(k + 1) - f(k)) (M_K - P_k) with f(0) = 0.  One
-    pass of three running sums gives both: T2 is its last value and T1 the
-    last step.  With K = L the mean is offset + S1 / M and the variance
-    (S2 M - S1^2) / M^2; for a palindrome the mean is offset + (L - 1) / 2
-    and M times the variance is twice the scan's sum of (i - mean)^2 c_i (the
-    centre of an odd L adds 0).  Either way they are the same Fractions as
-    moment(1) and moment(2) - mean^2.
-
-    The correctly rounded division is then made only where the supremum can
-    sit.  A second pass approximates each scanned P_k / M in floats, shifted
-    so that nothing overflows: (P_k >> cut) / (M >> mass_cut) * 2^(cut -
-    mass_cut), the cuts taking the scan's sum of |c_i| (M_K itself unless a
-    coefficient is negative) and M to 1000 bits.  That is within
-    3.01 * 2^-53 * m of P_k / M, where m = max(1, max |P / M|) over the
-    running sums at all jumps, mirrored ones included, so each jump's gap
-    max(|here - Phi|, |below - Phi|) is within 8.02 * 2^-53 * m of the scalar
-    loop's.  A mirrored jump takes its scanned partner's approximate gap.  To
-    that error it adds at most (1.5 u + 1) 2^-53 + 0.4 |s + s'|: the two erfc
-    values behind Phi(s') and 1 - Phi(s) are within u ulp each, and s, s' are
-    the standardised abscissae of the pair, with s' = -s exactly while
-    |offset| + L < 2^52 (mean and abscissae are exact floats then).  A jump
-    whose approximate gap is within 1e-14 m + max |s + s'| of the largest is
-    a candidate.  1e-14 m is 90 * 2^-53 * m, more than twice either error
-    while u <= 24 (a few ulp is usual for erfc), so the scalar loop's maximum
-    is always a candidate or the mirror of one.  A third pass, up to the
-    last candidate, picks out the exact sums at and below each candidate,
-    and their gaps, with those of their mirrors, give the value.  If every
-    gap lies within the margin, every jump is divided exactly, at the cost
-    of the scalar loop.
+    The second pass approximates each P_k / M in [0, 1] by (P_k >> cut) /
+    (M >> cut) in floats, the cut taking M to 1000 bits: within 3.01 * 2^-53,
+    so each gap max(|here - Phi|, |below - Phi|) is within 8.02 * 2^-53 of
+    the loop's, and a mirrored jump, which takes its partner's gap, within
+    (1.5 u + 1) 2^-53 more when erfc is within u ulp.  The jumps within
+    1e-14 = 90 * 2^-53 of the largest gap are candidates, so while u <= 24
+    (a few ulp is usual) the loop's maximum is a candidate or the mirror of
+    one.  The third pass, up to the last candidate, takes the exact sums at
+    and below each candidate, and the correctly rounded gaps there and at
+    the mirrors give the value.
     """
     coeffs = poly.coeffs
     size = len(coeffs)
+    scan = coeffs[:(size + 1) // 2]  # a palindrome's least coefficient is in it
+    if abs(poly.offset) + size >= 1 << 52 or not poly._palindromic() or min(scan, default=0) < 0:
+        return _d_kol_loop(poly)
     mass = poly.at_one()
-    palindrome = poly._palindromic()
-    scan = coeffs[:(size + 1) // 2] if palindrome else coeffs
     width = len(scan)
     # the scan's mass: half of M, with the centre of an odd L counted once more
-    part = (mass + (coeffs[size // 2] if size % 2 else 0)) // 2 if palindrome else mass
+    part = (mass + (coeffs[size // 2] if size % 2 else 0)) // 2
     # running sums of Q_k = P_0 + ... + P_k after two zeros: the last two
     # are T2 - T1 and T2
     before, t2 = deque(accumulate(accumulate(accumulate(scan), initial=0), initial=0), maxlen=2)
     t1 = t2 - before
     s1 = width * part - t1
     s2 = width * width * part - (2 * width + 1) * t1 + 2 * t2
-    if palindrome:  # sum of (2i - (L - 1))^2 c_i over the scan, divided by 2 M
-        var = poly._normalised(4 * s2 - 4 * (size - 1) * s1 + (size - 1) ** 2 * part) / 2
-        mean = poly.offset + Fraction(size - 1, 2)
-    else:
-        mean = poly.offset + poly._normalised(s1)
-        var = poly._normalised(s2 * mass - s1 * s1, 2)
-    try:
-        var_f, mean_f = (float(var) if var > 0 else 0.0), float(mean)
-    except OverflowError:
-        raise OutOfRange("the mean or the variance of the law exceeds float range") from None
-    if var_f == 0:  # also a positive variance below float range
+    # the sum of (2i - (L - 1))^2 c_i over the scan, divided by 2 M
+    var = float(poly._normalised(4 * s2 - 4 * (size - 1) * s1 + (size - 1) ** 2 * part) / 2)
+    if var == 0:  # also a positive variance below float range
         raise DegenerateDistribution("zero variance; nothing to standardise")
-    sd = math.sqrt(var_f)
-    top = poly.offset + size - 1  # the exponent of the last coefficient
-    if abs(poly.offset) + size < 1 << 53:  # every abscissa is an exact float
-        index = np.flatnonzero(np.fromiter(map(bool, scan), bool, width))
-        jumps = index + float(poly.offset)
-        mirrors = float(top) - index
-    else:  # each exponent rounded from its Python int
-        jumps = np.fromiter(compress(count(poly.offset), scan), float)
-        mirrors = np.fromiter(compress(count(top, -1), scan), float) if palindrome else None
-    s = (jumps - mean_f) / sd
+    index = np.flatnonzero(np.fromiter(map(bool, scan), bool, width))
+    s = (index - (size - 1) / 2) / math.sqrt(var)
     gauss = standard_normal_cdf(s)
-    widest = part if min(scan) >= 0 else sum(map(abs, scan))  # bounds every scanned |P_k|
-    cut = max(0, widest.bit_length() - 1000)
-    mass_cut = max(0, mass.bit_length() - 1000)
+    cut = max(0, mass.bit_length() - 1000)
     sums = accumulate(compress(scan, scan))  # the running sum at each jump
     tops = map(rshift, sums, repeat(cut)) if cut else sums  # a shift by 0 copies
-    with np.errstate(over="ignore"):  # inf only where the exact ratio overflows too
-        cdf = np.fromiter(map(float, tops), float, len(jumps)) / float(mass >> mass_cut)
-        cdf = np.ldexp(cdf, cut - mass_cut)
+    cdf = np.fromiter(map(float, tops), float, len(index)) / float(mass >> cut)
     below = np.concatenate([[0.0], cdf[:-1]])  # the CDF just below each jump
     gap = np.maximum(np.abs(cdf - gauss), np.abs(below - gauss))
-    spread, skew = np.abs(cdf).max(), 0.0
-    if palindrome:
-        mirror_s = (mirrors - mean_f) / sd
-        spread = max(spread, np.abs(1.0 - below).max())  # the CDF at the mirrors
-        skew = np.abs(s + mirror_s).max()
-    margin = 1e-14 * max(1.0, float(spread)) + float(skew)
-    near = np.flatnonzero(gap + margin >= gap.max())
+    near = np.flatnonzero(gap + 1e-14 >= gap.max())
     # exact[j] is the running sum below jump j, exact[j + 1] the one at it
     wanted = np.zeros(near[-1] + 2, bool)
     wanted[near] = wanted[near + 1] = True
@@ -594,17 +552,35 @@ def kolmogorov_distance_to_normal(poly: QPolynomial) -> float:
     ))
     # (sum at, sum below, Phi) at each candidate, then at each mirror
     refine = [(exact[j + 1], exact[j], g) for j, g in zip(near.tolist(), gauss[near].tolist())]
-    if palindrome:
-        refine += [
-            (mass - exact[j], mass - exact[j + 1], g)
-            for j, g in zip(near.tolist(), standard_normal_cdf(mirror_s[near]).tolist())
-        ]
-    worst = 0.0
+    refine += [
+        (mass - exact[j], mass - exact[j + 1], g)
+        for j, g in zip(near.tolist(), standard_normal_cdf(-s[near]).tolist())
+    ]
+    return max(max(abs(here / mass - g), abs(under / mass - g)) for here, under, g in refine)
+
+
+def _d_kol_loop(poly: QPolynomial) -> float:
+    """d_Kol by its definition, one jump at a time: each exact running sum
+    P_k = c_0 + ... + c_k divided by the mass once (correctly rounded) and
+    compared, with the sum before it, with Phi at the standardised exponent."""
+    mean = poly.moment(1)
+    var = poly.moment(2) - mean * mean
+    mass, running, below, worst = poly.at_one(), 0, 0.0, 0.0
     try:
-        for here, under, g in refine:
-            worst = max(worst, abs(here / mass - g), abs(under / mass - g))
+        mean_f, var_f = float(mean), (float(var) if var > 0 else 0.0)
+        if var_f == 0:  # also a positive variance below float range
+            raise DegenerateDistribution("zero variance; nothing to standardise")
+        sd = math.sqrt(var_f)
+        for m, c in zip(count(poly.offset), poly.coeffs):
+            if c:
+                gauss = standard_normal_cdf((m - mean_f) / sd)
+                running += c
+                here = running / mass
+                worst = max(worst, abs(here - gauss), abs(below - gauss))
+                below = here
     except OverflowError:
-        raise OutOfRange("a running sum of the law exceeds float range times its mass") from None
+        raise OutOfRange("the mean, the variance or a running sum over the mass "
+                         "of the law exceeds float range") from None
     return worst
 
 
@@ -613,7 +589,7 @@ def log_laplace_exact(lam: Partition, z: complex) -> complex:
     b(lam) z / n + sum_k varphi(kz/n) - sum_hooks varphi(hz/n)."""
     _require_nonempty(lam)
     z = complex(z)
-    _check_half_domain(z)
+    _check_domain(z, half=True)
     n = lam.n
     terms = varphi(np.array([*range(1, n + 1), *hook_list(lam)]) * z / n)
     return b_stat(lam) * z / n + complex(terms[:n].sum() - terms[n:].sum())

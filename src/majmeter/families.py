@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable
 
-from .partitions import SIMPLEX_TOL, Partition, ThomaParam
+from .partitions import SIMPLEX_TOL, Partition, ThomaParam, _require_size
 
 
 def parse_fraction(text: str, what: str) -> Fraction:
@@ -26,8 +26,7 @@ def rows_from_frequencies(n: int, freqs) -> Partition:
     """Rows floor(n f) for the nonnegative, nonincreasing frequencies f, the
     remainder on the first row; ValueError unless the frequencies sum to 1
     within SIMPLEX_TOL."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_size(n)
     if any(not f >= 0 for f in freqs) or any(  # NaN fails too
         freqs[i] < freqs[i + 1] for i in range(len(freqs) - 1)
     ):
@@ -55,8 +54,7 @@ def three_row(n: int, freqs=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))) ->
 def staircase(n: int) -> Partition:
     """Largest staircase (k, k-1, ..., 1) fitting in n cells, remainder on the
     first row; all scaled row frequencies vanish in the limit."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_size(n)
     k = (isqrt(8 * n + 1) - 1) // 2  # the largest k with k(k+1)/2 <= n
     rows = list(range(k, 0, -1))
     rows[0] += n - k * (k + 1) // 2

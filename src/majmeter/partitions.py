@@ -79,6 +79,12 @@ def _require_nonempty(lam: Partition) -> None:
         raise EmptyPartition("need a nonempty partition")
 
 
+def _require_size(n: int) -> None:
+    """ValueError unless the size n of a shape or a sum is at least 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+
 def parse_partition(text: str, strict: bool = False) -> Partition:
     """Parse comma-separated rows such as "4,2,2,1".
 

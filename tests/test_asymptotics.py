@@ -805,6 +805,11 @@ class TestLDEstimate:
             "y", "side", "h", "rate", "psi_at_h", "lambda2_at_h", "estimate",
         }
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_size_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            ld_estimate(HALF_HALF, HALF_HALF, 0.02, n)
+
 
 PI2_OVER_6 = math.pi ** 2 / 6
 
@@ -959,6 +964,20 @@ class TestMockFourier:
         with pytest.raises(DegenerateParameter):
             mock_fourier(DELTA_ONE, 1.0, 1.0)
 
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_rejected_as_in_bochner_check(self, xi):
+        with pytest.raises(ValueError, match=f"^frequency {xi} is not finite$"):
+            mock_fourier(HALF_HALF, 5.0, xi)
+        with pytest.raises(ValueError, match=f"^frequency {xi} is not finite$"):
+            bochner_check(HALF_HALF, (0.0, xi))
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tilt_rejected(self, h):
+        with pytest.raises(ValueError, match=f"^tilt {h} is not finite$"):
+            mock_fourier(HALF_HALF, h, 1.0)
+        with pytest.raises(ValueError, match=f"^tilt {h} is not finite$"):
+            mock_fourier(HALF_HALF, h, 0.0)
+
 
 class TestMockFourierLimit:
     def test_point_mass_at_one(self):
@@ -968,6 +987,11 @@ class TestMockFourierLimit:
         values = [mock_fourier_limit(HALF_HALF, h) for h in (1.0, 2.0, 5.0, 10.0)]
         assert all(v < 0 for v in values)
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tilt_rejected(self, h):
+        with pytest.raises(ValueError, match=f"^tilt {h} is not finite$"):
+            mock_fourier_limit(HALF_HALF, h)
 
     def test_zero_atom_rejected(self):
         with pytest.raises(ZeroAtomUnsupported):
@@ -1009,6 +1033,11 @@ class TestEdgeworth:
     def test_limits(self):
         assert abs(edgeworth_cdf(HALF_HALF, 1.0, 30, 9.0) - 1.0) < 1e-12
         assert abs(edgeworth_cdf(HALF_HALF, 1.0, 30, -9.0)) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_size_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            edgeworth_cdf(HALF_HALF, 1.0, n, 0.7)
 
     def test_converges_to_normal(self):
         gaps = [
@@ -1053,6 +1082,44 @@ class TestNormalCdf:
         assert np.array_equal(standard_normal_cdf(grid).view(np.uint64), scalar.view(np.uint64))
         square = standard_normal_cdf(grid[:8000].reshape(80, 100))
         assert np.array_equal(square.ravel().view(np.uint64), scalar[:8000].view(np.uint64))
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteArgument:
+    """A non-finite argument is refused where it enters, before any
+    quadrature runs."""
+
+    @pytest.mark.parametrize("z", [*NON_FINITE, complex(math.nan, 0.5), complex(1.0, math.inf)])
+    def test_lambda_omega(self, z):
+        with pytest.raises(DomainError, match="is not finite$"):
+            lambda_omega(HALF_HALF, z)
+
+    @pytest.mark.parametrize("h", NON_FINITE)
+    def test_lambda_derivs(self, h, monkeypatch):
+        monkeypatch.setattr(asymptotics, "_integrate_unit", _no_quadrature)
+        with pytest.raises(DomainError, match="is not finite$"):
+            lambda_derivs(HALF_HALF, h)
+
+    @pytest.mark.parametrize("h", NON_FINITE)
+    def test_edgeworth_cdf(self, h, monkeypatch):
+        monkeypatch.setattr(asymptotics, "_integrate_unit", _no_quadrature)
+        with pytest.raises(DomainError, match="is not finite$"):
+            edgeworth_cdf(HALF_HALF, h, 30, 0.5)
+
+    @pytest.mark.parametrize("z", [*NON_FINITE, complex(math.nan, 0.5), complex(1.0, math.inf)])
+    def test_psi_omega(self, z):
+        with pytest.raises(DomainError, match="is not finite$"):
+            psi_omega(HALF_HALF, z)
+
+    def test_the_cut_is_named_before_finiteness(self):
+        with pytest.raises(DomainError, match="cut"):
+            lambda_omega(HALF_HALF, complex(0.0, math.inf))
+
+
+def _no_quadrature(f, quad):
+    raise AssertionError("a quadrature ran on a non-finite argument")
 
 
 class TestDomainStability:

@@ -417,6 +417,18 @@ class TestBkol:
         assert code == 3 and out == ""
         assert err == "error: out of memory\n"
 
+    def test_size_past_the_cap_is_refused_before_the_shape_is_built(self, capsys, monkeypatch):
+        # staircase(10^13) would build 4.5e6 rows only to be refused
+        def not_built(n):
+            raise AssertionError(f"staircase({n}) was built")
+
+        monkeypatch.setattr(families, "staircase", not_built)
+        code, out, err = run(capsys, "bkol", "--family", "staircase", "--n", "10000000000000")
+        assert code == 3 and out == ""
+        assert err == (
+            "error: |lambda| = 10000000000000 exceeds the exact big-integer cap 300; "
+            "use maj_polynomial_float for the extended-precision variant\n")
+
     @pytest.mark.parametrize("command", [["bkol"], ["ld", "--y", "0.03"]])
     def test_three_row_needs_three_frequencies(self, capsys, command):
         code, out, err = run(capsys, *command, "--family", "three-row:1/2,1/2", "--n", "20")

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -504,6 +505,69 @@ class TestKolmogorov:
         with pytest.raises(DegenerateDistribution):
             kolmogorov_distance_to_normal(QPolynomial([1, 10**400]))
 
+    # the running sums of this signed palindrome reach 2^1030, past float
+    # range, while every ratio to its mass 2^10 stays in range
+    def test_a_signed_palindrome_with_sums_past_float_range_takes_the_loop(self):
+        poly = QPolynomial([2**1030, 2**10 - 2**1031, 2**1030])
+        value = kolmogorov_distance_to_normal(poly)
+        assert value == _d_kol_reference(poly) and value > 2.0**1019
+
+    @pytest.mark.parametrize("coeffs", [[1, 3, 3, 1], [2, 0, 5, 0, 2], [1] * 9])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_bit_identical_at_the_edge_of_exact_abscissae(self, coeffs, sign):
+        # |offset| + L = 2^52 - 1 is the last maj law on the streamed passes;
+        # one step further out it takes the loop
+        for offset in (2**52 - len(coeffs) - 1, 2**52 - len(coeffs)):
+            poly = QPolynomial(coeffs, sign * offset)
+            assert kolmogorov_distance_to_normal(poly) == _d_kol_reference(poly)
+
+
+def _loop_forbidden(poly):
+    raise AssertionError("a maj law reached the scalar loop")
+
+
+class TestKolmogorovRouting:
+    """The streamed passes take every maj law; every other law takes the
+    scalar loop that defines the value."""
+
+    @settings(deadline=None)
+    @given(partition_strategy(max_n=30))
+    def test_maj_laws_never_reach_the_loop(self, lam):
+        poly = maj_polynomial(lam)
+        assume(len(poly.coeffs) > 1)
+        with mock.patch.object(exact_dist, "_d_kol_loop", _loop_forbidden):
+            kolmogorov_distance_to_normal(poly)
+
+    @pytest.mark.parametrize(
+        "build, n",
+        [(two_row, 240), (three_row, 180), (staircase, 153),
+         (two_row, 300), (three_row, 120), (staircase, 105)],
+    )
+    def test_workload_shapes_never_reach_the_loop(self, build, n, monkeypatch):
+        monkeypatch.setattr(exact_dist, "_d_kol_loop", _loop_forbidden)
+        kolmogorov_distance_to_normal(maj_polynomial(build(n)))
+
+    @pytest.mark.parametrize("coeffs, offset", [
+        ([3, -1, 2], 0),  # signed
+        ([4, -1, 3, -1, 4], 5),  # a signed palindrome
+        ([1, 0, 0, 2, 0, 1], 0),  # not a palindrome
+        ([1] + [0] * 40 + [7, 0, 2], 10**6),
+        ([1, 3, 3, 1], 2**52 - 4),  # |offset| + L = 2^52
+        ([1, 3, 3, 1], -(2**52)),
+        ([1, 4, 6, 4, 1], 10**20),
+    ])
+    def test_other_laws_always_reach_the_loop(self, coeffs, offset, monkeypatch):
+        calls = []
+
+        def loop(poly):
+            calls.append(poly)
+            return _d_kol_reference(poly)
+
+        monkeypatch.setattr(exact_dist, "_d_kol_loop", loop)
+        poly = QPolynomial(coeffs, offset)
+        assert kolmogorov_distance_to_normal(poly) == _d_kol_reference(poly)
+        assert calls == [poly]
+
 
 def _d_kol_reference(poly):
     """d_Kol by a scalar loop over the coefficients, one jump at a time."""
@@ -550,6 +614,12 @@ class TestLogLaplaceExact:
         with pytest.raises(DomainError):
             log_laplace_exact(Partition((3, 1)), 3.2j)
 
+
+    @pytest.mark.parametrize(
+        "z", [math.nan, math.inf, -math.inf, complex(math.nan, 0.5), complex(1.0, math.inf)])
+    def test_non_finite_argument(self, z):
+        with pytest.raises(DomainError, match="is not finite$"):
+            log_laplace_exact(Partition((3, 1)), z)
 
 class TestFloatVariant:
     def test_bulk_statistics_match_exact(self):
